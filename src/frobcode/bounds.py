@@ -102,7 +102,9 @@ def max_cyclic_size(code: LinearCode, incomplete_support_only: bool = False) -> 
     """Largest size of a cyclic submodule Rc over codewords c.
 
     With ``incomplete_support_only`` the maximum runs over words whose
-    support misses at least one coordinate.
+    support misses at least one coordinate.  The zero word counts among
+    them (with R0 of size 1), so the result is 1 when no nonzero word has
+    incomplete support.
     """
     best = 0
     for w in code.word_order:
@@ -241,7 +243,13 @@ def plotkin_minimal_ideal(code: LinearCode) -> BoundReport:
 
 def singleton_P(code: LinearCode) -> BoundReport:
     """Singleton-type bound over incomplete-support cyclic submodules:
-    n - ceil((P-1)/P * d/gamma) >= ceil(log_P M - log_P |R|)."""
+    n - ceil((P-1)/P * d/gamma) >= ceil(log_P M - log_P |R|).
+
+    P comes from ``max_cyclic_size(code, incomplete_support_only=True)``,
+    whose maximum includes the zero word.  So ``"P": 1`` in the details
+    means that no nonzero word has incomplete support; the bound is then
+    inapplicable (its minimum Hamming weight precondition fails).
+    """
     d = code.min_hom_norm
     lo = code.min_hamming
     pre = [

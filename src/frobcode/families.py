@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
@@ -24,7 +25,7 @@ from .lincode import (
     residual,
     support,
 )
-from .rings import Ring, Zm, build_ring, radical
+from .rings import Ring, Zm, build_ring, is_local
 
 
 class NotChainRingError(ValueError):
@@ -129,10 +130,10 @@ def hjelmslev_line(ring: Ring, table: HomWeightTable | None = None) -> LinearCod
 
 
 def _length2_chain_radical(ring: Ring) -> frozenset[int]:
-    rad = radical(ring)
+    rad = ring.radical
     if len(rad) < 2:
         raise NotChainRingError(f"{ring.name} has zero radical")
-    if ring.units != frozenset(range(ring.size)) - rad:
+    if not is_local(ring):
         raise NotChainRingError(f"{ring.name} is not local")
     mul = ring.mul_table
     if any(mul[s][t] != 0 for s in rad for t in rad):
@@ -216,8 +217,8 @@ def residual_chain(code: LinearCode) -> ResidualChain:
             weight_growth = False
         elif cur.code.min_hom_norm is not None and cur.code.min_hom_norm < drop:
             weight_growth = False
-    size_product = code.size == _prod(
-        [s.cyclic_size for s in stages[:-1]]
+    size_product = code.size == prod(
+        s.cyclic_size for s in stages[:-1]
     ) * stages[-1].code.size
     final_code = stages[-1].code
     final_constant = all(
@@ -264,10 +265,3 @@ def _select_chain_word(code: LinearCode) -> Word | None:
         if best_key is None or key < best_key:
             best, best_key = w, key
     return best
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out

@@ -7,9 +7,9 @@ N-th cyclotomic polynomial, so every weight comes out as an exact
 rational; no floating point is involved anywhere.
 
 Storage is normalised: tables keep w(x)/gamma, which is independent of
-gamma, and gamma is carried alongside for display.  A brute-force
-linear-system solver over the rationals is provided as an independent
-oracle for the same table.
+gamma, and gamma is carried alongside for display.  An independent
+oracle solves the weight axioms directly from the multiplication table,
+as a triangular system over the principal left ideals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .rings import CharacterError, Ring, principal_ideal, radical, socle_local
+from .rings import CharacterError, Ring, socle_local
 
 
 class NonRationalSumError(ValueError):
@@ -158,11 +158,7 @@ def verify_axioms(table: HomWeightTable) -> bool:
     ring, w = table.ring, table.norm_weight
     if w[0] != 0:
         return False
-    ideals: dict[frozenset[int], list[int]] = {}
-    for x in range(1, ring.size):
-        members = principal_ideal(ring, x, "left").members
-        ideals.setdefault(members, []).append(x)
-    for members, gens in ideals.items():
+    for members, gens in ring.principal_left_ideals.items():
         if any(w[x] != w[gens[0]] for x in gens[1:]):
             return False
         if sum(w[y] for y in members) != len(members):
@@ -180,7 +176,7 @@ def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeight
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     soc = socle_local(ring)  # raises NotLocalError on non-local input
-    q = ring.size // len(radical(ring))
+    q = ring.size // len(ring.radical)
     heavy = Fraction(q, q - 1)
     norm = tuple(
         Fraction(0) if x == 0 else heavy if x in soc else Fraction(1)
@@ -196,66 +192,27 @@ def extend_weight(table: HomWeightTable, word: Sequence[int]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: the axioms as a linear system
+# Independent oracle: the axioms as a triangular system
 # ---------------------------------------------------------------------------
 
 def solve_weight_axioms(ring: Ring) -> tuple[Fraction, ...]:
     """Solve w(0)=0 plus both homogeneity axioms (normalised) directly.
 
-    Sets up the defining equations as a rational linear system and runs
-    Gaussian elimination.  The solution is unique for the rings handled
-    here; a rank defect raises ``ArithmeticError``.  This is deliberately
-    independent of the character formula so the two can cross-check.
+    The axioms give one unknown W(Rx) per principal left ideal, shared by
+    the generators of Rx, with sum over Rx equal to |Rx|.  Rx is the
+    disjoint union of the generator sets of the principal ideals inside
+    it, so visiting ideals by increasing size solves the system bottom-up:
+    W(Rx) = (|Rx| - sum of w over the non-generators of Rx) / |gen(Rx)|.
+    The solution always exists and is unique.  This uses only the
+    multiplication table, independent of the character formula, so the
+    two can cross-check.
     """
-    size = ring.size
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def equation(coeffs: dict[int, int], value: int) -> None:
-        row = [Fraction(0)] * size
-        for idx, c in coeffs.items():
-            row[idx] += c
-        rows.append(row)
-        rhs.append(Fraction(value))
-
-    equation({0: 1}, 0)
-    classes: dict[frozenset[int], list[int]] = {}
-    for x in range(1, size):
-        members = principal_ideal(ring, x, "left").members
-        classes.setdefault(members, []).append(x)
-    for members, gens in classes.items():
-        rep = gens[0]
-        for x in gens[1:]:
-            equation({x: 1, rep: -1}, 0)
-        equation({y: 1 for y in members}, len(members))
-
-    # Gaussian elimination
-    pivots = []
-    row_at = 0
-    m = len(rows)
-    for col in range(size):
-        pivot = next((r for r in range(row_at, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row_at], rows[pivot] = rows[pivot], rows[row_at]
-        rhs[row_at], rhs[pivot] = rhs[pivot], rhs[row_at]
-        inv = 1 / rows[row_at][col]
-        rows[row_at] = [v * inv for v in rows[row_at]]
-        rhs[row_at] = rhs[row_at] * inv
-        for r in range(m):
-            if r != row_at and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row_at])]
-                rhs[r] = rhs[r] - factor * rhs[row_at]
-        pivots.append(col)
-        row_at += 1
-    if len(pivots) != size:
-        raise ArithmeticError(f"weight axioms on {ring.name} do not pin a unique table")
-    for r in range(row_at, m):
-        if rhs[r] != 0:
-            raise ArithmeticError(f"weight axioms on {ring.name} are inconsistent")
-
-    solution = [Fraction(0)] * size
-    for r, col in enumerate(pivots):
-        solution[col] = rhs[r]
+    solution = [Fraction(0)] * ring.size
+    ideals = sorted(ring.principal_left_ideals.items(), key=lambda item: len(item[0]))
+    for members, gens in ideals:
+        # the generators of Rx are still 0 here, so this sums the non-generators
+        rest = sum(solution[y] for y in members)
+        value = (len(members) - rest) / len(gens)
+        for x in gens:
+            solution[x] = value
     return tuple(solution)

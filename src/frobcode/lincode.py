@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .homweight import HomWeightTable, extend_weight, hom_weight_table
-from .rings import Ring, parse_element
+from .rings import Ring, parse_element, principal_ideal
 
 
 class SweepCapError(ValueError):
@@ -271,8 +271,7 @@ def min_hamming_word_structure(
                 break
             units_at[i] = unit
         else:
-            alpha_span = frozenset(ring.mul_table[r][alpha] for r in range(ring.size))
-            if len(alpha_span) == cyclic_size:
+            if len(principal_ideal(ring, alpha).members) == cyclic_size:
                 return alpha, units_at
     raise DecompositionError("no scaled-unit decomposition; word is not minimum-Hamming")
 

@@ -208,6 +208,13 @@ def test_bad_ring_spec_exits_1(capsys):
     assert "error" in err
 
 
+def test_large_prime_literal_exits_1(capsys):
+    # factoring the literal must not hang before the cap check
+    code, _, err = run(capsys, "ring", "info", "--ring", "GF(1000000007)")
+    assert code == 1
+    assert "cap" in err
+
+
 def test_missing_gen_file_exits_1(capsys):
     code, _, err = run(capsys, "code", "analyze", "--ring", "Z4", "--gen", "/nonexistent.gen")
     assert code == 1

@@ -183,7 +183,7 @@ def test_local_table_rejects_nonlocal():
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: the axioms as a linear system
+# Independent oracle: the axioms as a triangular system
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
@@ -191,16 +191,20 @@ def test_character_formula_matches_linear_system(spec):
     assert table(spec).norm_weight == fc.solve_weight_axioms(ring(spec))
 
 
-@pytest.mark.parametrize("spec", ["CHAIN(9)", "Z4xGF(4)", "M2(GF(3))"])
+@pytest.mark.parametrize(
+    "spec", ["CHAIN(9)", "Z4xGF(4)", "M2(GF(3))", "M2(Z4)", "CHAIN(16)", "Z8xZ64"]
+)
 def test_oracle_agreement_on_mixed_constructors(spec):
     # constructors the named examples never combine: chain over an extension
-    # field, product with a field factor, matrices over an odd prime field
+    # field, product with a field factor, matrices over an odd prime field;
+    # then rings near the size cap: non-commutative M2(Z4) (256 elements),
+    # a chain ring over GF(16), non-local Z8xZ64 (512 elements)
     assert table(spec).norm_weight == fc.solve_weight_axioms(ring(spec))
 
 
 def test_axioms_hold_on_matrices_over_z4():
-    # 256 elements; the linear-system oracle is slow here, the exhaustive
-    # axiom check is not
+    # 256 elements, non-commutative: the exhaustive axiom check on the
+    # character-formula table
     assert fc.verify_axioms(table("M2(Z4)"))
 
 

@@ -215,6 +215,26 @@ def test_minimal_ideals_field_is_itself():
     assert ideals[0].members == set(range(r.size))
 
 
+@pytest.mark.parametrize("spec", SUITE_SPECS + ["Z4xGF(4)", "Z2xM2(GF(2))"])
+def test_minimal_ideals_match_definition(spec):
+    r = ring(spec)
+    ideal_of = [fc.principal_ideal(r, x).members for x in range(r.size)]
+    # the stored grouping partitions the nonzero elements by the ideal they generate
+    grouping = r.principal_left_ideals
+    assert sorted(x for gens in grouping.values() for x in gens) == list(range(1, r.size))
+    for members, gens in grouping.items():
+        assert list(gens) == sorted(gens)
+        assert all(ideal_of[x] == members for x in gens)
+    # minimal: the principal left ideals that each of their nonzero members generates
+    expected = [
+        fc.Ideal(side="left", generator=min(members - {0}), members=members)
+        for members in set(ideal_of[1:])
+        if all(ideal_of[y] == members for y in members if y != 0)
+    ]
+    expected.sort(key=lambda ideal: sorted(ideal.members))
+    assert fc.minimal_left_ideals(r) == tuple(expected)
+
+
 def test_radical_and_socle_z4():
     r = ring("Z4")
     assert fc.radical(r) == {0, 2}
@@ -269,6 +289,10 @@ def test_cardinality_cap():
     with pytest.raises(fc.CardinalityCapError):
         fc.build_ring(fc.Mat(2, fc.Zm(5)), cap=512)
     assert fc.build_ring(fc.Zm(600), cap=1024).size == 600
+    # large prime literals: factoring must stop at the square root
+    for text in ("GF(1000000007)", "CHAIN(1000000007)", "GF(999999999989)"):
+        with pytest.raises(fc.CardinalityCapError):
+            fc.build_ring(fc.parse_ring_spec(text))
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
