@@ -26,7 +26,7 @@ from .families import (
 )
 from .homweight import hom_weight_table
 from .lincode import LinearCode, build_code, ell, read_generator_rows, write_generator_file
-from .rings import DEFAULT_CAP, build_ring, parse_ring_spec
+from .rings import DEFAULT_CAP, Ring, build_ring, parse_ring_spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +62,11 @@ def _ring_cap() -> int:
         raise ValueError(f"FROBCODE_CAP={raw!r} is not an integer") from None
 
 
+def _ring(text: str) -> Ring:
+    cap = _ring_cap()
+    return build_ring(parse_ring_spec(text, cap=cap), cap=cap)
+
+
 def _gamma(text: str) -> Fraction:
     try:
         gamma = Fraction(text)
@@ -73,7 +78,7 @@ def _gamma(text: str) -> Fraction:
 
 
 def _load_code(args) -> LinearCode:
-    ring = build_ring(parse_ring_spec(args.ring), cap=_ring_cap())
+    ring = _ring(args.ring)
     table = hom_weight_table(ring, _gamma(args.gamma))
     rows = read_generator_rows(args.gen, ring)
     return build_code(ring, rows, table)
@@ -218,7 +223,7 @@ def _print_chain(code: LinearCode, chain: ResidualChain) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ring_info(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), cap=_ring_cap())
+    ring = _ring(args.ring)
     print(f"ring: {ring.name}")
     print(f"size: {ring.size}")
     print(f"units: {len(ring.units)}")
@@ -227,7 +232,7 @@ def _cmd_ring_info(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), cap=_ring_cap())
+    ring = _ring(args.ring)
     table = hom_weight_table(ring, _gamma(args.gamma))
     for x in range(ring.size):
         print(f"{ring.element_names[x]}: {table.weight(x)}")
@@ -269,7 +274,7 @@ def _family_output(args, family: str, code: LinearCode, extra: dict) -> int:
 
 
 def _cmd_family_simplex(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), cap=_ring_cap())
+    ring = _ring(args.ring)
     table = hom_weight_table(ring, _gamma(args.gamma))
     code = simplex(ring, args.m, table)
     return _family_output(args, "simplex", code, {"m": args.m})
@@ -281,7 +286,7 @@ def _cmd_family_octacode(args) -> int:
 
 
 def _cmd_family_hjelmslev(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), cap=_ring_cap())
+    ring = _ring(args.ring)
     table = hom_weight_table(ring, _gamma(args.gamma))
     code = hjelmslev_line(ring, table)
     return _family_output(args, "hjelmslev", code, {})

@@ -7,6 +7,13 @@ Elements are opaque indices 0..size-1 with index 0 the additive
 identity and index 1 the multiplicative identity; every operation is a
 table lookup, so all downstream arithmetic is exact and ring-agnostic.
 
+Each constructor builds its tables from its structure rather than by
+generic arithmetic per pair of elements: componentwise operations are
+Kronecker combinations of smaller tables, GF(p^k) multiplies through
+discrete-log tables of a primitive element, and M_n(S) through the
+products of row vectors with matrices.  The units are read off the rows
+of the multiplication table.
+
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
 character is chosen per constructor (trace-based) and checked at build
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt, lcm
 from typing import Sequence, Union
 
@@ -79,21 +86,12 @@ class ChainQuad:
 RingSpec = Union[Zm, GF, Mat, Prod, ChainQuad]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p**f with p prime, or raise.
+    """Factor q as p**f with p prime, or raise; q is prime iff f == 1.
 
     Trial division stops at isqrt(q): without a divisor there, q is prime.
+    Callers bound q by the size cap first, so this never runs on a huge
+    literal.
     """
     if q < 2:
         raise RingSpecError(f"{q} is not a prime power")
@@ -109,44 +107,72 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def validate_spec(spec: RingSpec) -> None:
-    if isinstance(spec, Zm):
-        if spec.m < 2:
-            raise RingSpecError(f"Z{spec.m}: modulus must be >= 2")
-    elif isinstance(spec, GF):
-        if not _is_prime(spec.p):
-            raise RingSpecError(f"GF({spec.p}^{spec.k}): {spec.p} is not prime")
-        if spec.k < 1:
-            raise RingSpecError(f"GF({spec.p}^{spec.k}): exponent must be >= 1")
-        if spec.k > 1 and spec.p > 10:
-            # element literals are single-digit coefficient strings
-            raise RingSpecError(
-                f"GF({spec.p}^{spec.k}): coefficients above 9 have no literal syntax"
-            )
-    elif isinstance(spec, Mat):
-        if spec.n < 1:
-            raise RingSpecError(f"M{spec.n}: matrix size must be >= 1")
+    _check_term(spec)
+    if isinstance(spec, Mat):
         validate_spec(spec.inner)
     elif isinstance(spec, Prod):
         validate_spec(spec.left)
         validate_spec(spec.right)
+
+
+def _check_term(spec: RingSpec) -> None:
+    # one constructor's own parameters; its subterms are checked separately
+    if isinstance(spec, Zm):
+        if spec.m < 2:
+            raise RingSpecError(f"Z{spec.m}: modulus must be >= 2")
+    elif isinstance(spec, GF):
+        if spec.k < 1:
+            raise RingSpecError(f"GF({spec.p}^{spec.k}): exponent must be >= 1")
+        if spec.p < 2 or _prime_power(spec.p)[1] != 1:
+            raise RingSpecError(f"GF({spec.p}^{spec.k}): {spec.p} is not prime")
+        _check_coefficients(spec)
+    elif isinstance(spec, Mat):
+        if spec.n < 1:
+            raise RingSpecError(f"M{spec.n}: matrix size must be >= 1")
     elif isinstance(spec, ChainQuad):
         _prime_power(spec.q)
-    else:
+    elif not isinstance(spec, Prod):
         raise RingSpecError(f"unknown ring spec {spec!r}")
 
 
-def spec_cardinality(spec: RingSpec) -> int:
+def _check_coefficients(spec: GF) -> None:
+    if spec.k > 1 and spec.p > 10:
+        # element literals are single-digit coefficient strings
+        raise RingSpecError(
+            f"GF({spec.p}^{spec.k}): coefficients above 9 have no literal syntax"
+        )
+
+
+def _capped_cardinality(spec: RingSpec, cap: int) -> int:
+    """The number of elements of the ring ``spec`` if at most cap, else cap + 1.
+
+    Builds no integer much above cap, so a huge exponent or nesting costs
+    no more than a small one.
+    """
     if isinstance(spec, Zm):
-        return spec.m
-    if isinstance(spec, GF):
-        return spec.p ** spec.k
-    if isinstance(spec, Mat):
-        return spec_cardinality(spec.inner) ** (spec.n * spec.n)
-    if isinstance(spec, Prod):
-        return spec_cardinality(spec.left) * spec_cardinality(spec.right)
-    if isinstance(spec, ChainQuad):
-        return spec.q * spec.q
-    raise RingSpecError(f"unknown ring spec {spec!r}")
+        size = spec.m
+    elif isinstance(spec, GF):
+        size = _capped_power(spec.p, spec.k, cap)
+    elif isinstance(spec, Mat):
+        size = _capped_power(_capped_cardinality(spec.inner, cap), spec.n * spec.n, cap)
+    elif isinstance(spec, Prod):
+        size = _capped_cardinality(spec.left, cap) * _capped_cardinality(spec.right, cap)
+    elif isinstance(spec, ChainQuad):
+        size = _capped_power(spec.q, 2, cap)
+    else:
+        raise RingSpecError(f"unknown ring spec {spec!r}")
+    return min(size, cap + 1)
+
+
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    if base < 2 or exp < 1:
+        return base if exp >= 1 else 1
+    value = 1
+    for _ in range(exp):  # base >= 2: passes the cap within log2(cap) + 1 rounds
+        value *= base
+        if value > cap:
+            return cap + 1
+    return value
 
 
 def canonical_ring_name(spec: RingSpec) -> str:
@@ -172,28 +198,41 @@ def canonical_ring_name(spec: RingSpec) -> str:
 #          | 'CHAIN(' int ')'
 # ---------------------------------------------------------------------------
 
-def parse_ring_spec(text: str) -> RingSpec:
+# The spec tree nests at most this deep, counting each product of k factors
+# as k - 1 levels and each parenthesis as one: parsing, validation and
+# building recurse once per level.
+_MAX_NESTING = 256
+
+
+def parse_ring_spec(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
+    """Parse and validate a ring spec.
+
+    Each term is checked as it is parsed, and each literal is factored at
+    most once.  A literal above ``cap`` raises ``CardinalityCapError``
+    before it is converted or factored: a literal is at most the size of
+    its term, so it puts every valid ring that contains it above the cap.
+    The size of the whole ring is checked by ``build_ring``.
+    """
     stripped = text.strip()
     base = len(text) - len(text.lstrip())
     if not stripped:
         raise RingSpecError("empty ring spec")
-    spec = _parse_spec(stripped, 0, len(stripped), base)
-    validate_spec(spec)
-    return spec
+    return _parse_spec(stripped, 0, len(stripped), base, cap, 0)
 
 
 def _spec_error(message: str, pos: int, base: int) -> RingSpecError:
     return RingSpecError(f"{message} (at position {pos + base})")
 
 
-def _parse_spec(s: str, lo: int, hi: int, base: int) -> RingSpec:
+def _parse_spec(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> RingSpec:
     parts: list[tuple[int, int]] = []
-    depth = 0
+    depth = deepest = 0
     start = lo
     for i in range(lo, hi):
         ch = s[i]
         if ch == "(":
             depth += 1
+            deepest = max(deepest, depth)
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -204,13 +243,16 @@ def _parse_spec(s: str, lo: int, hi: int, base: int) -> RingSpec:
     if depth != 0:
         raise _spec_error("unbalanced '('", hi - 1, base)
     parts.append((start, hi))
-    spec = _parse_term(s, *parts[0], base)
+    nesting += len(parts) - 1
+    if nesting + deepest > _MAX_NESTING:
+        raise _spec_error(f"ring spec nests more than {_MAX_NESTING} levels deep", lo, base)
+    spec = _parse_term(s, *parts[0], base, cap, nesting)
     for lo_i, hi_i in parts[1:]:
-        spec = Prod(spec, _parse_term(s, lo_i, hi_i, base))
+        spec = Prod(spec, _parse_term(s, lo_i, hi_i, base, cap, nesting))
     return spec
 
 
-def _parse_term(s: str, lo: int, hi: int, base: int) -> RingSpec:
+def _parse_term(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> RingSpec:
     while lo < hi and s[lo].isspace():
         lo += 1
     while hi > lo and s[hi - 1].isspace():
@@ -219,23 +261,35 @@ def _parse_term(s: str, lo: int, hi: int, base: int) -> RingSpec:
     low = term.lower()
     if not term:
         raise _spec_error("empty ring term", lo, base)
-    m = re.fullmatch(r"z(\d+)", low)
-    if m:
-        return Zm(int(m.group(1)))
-    m = re.fullmatch(r"gf\((\d+)(?:\^(\d+))?\)", low)
-    if m:
-        if m.group(2) is not None:
-            return GF(int(m.group(1)), int(m.group(2)))
-        p, f = _prime_power(int(m.group(1)))
-        return GF(p, f)
-    m = re.fullmatch(r"chain\((\d+)\)", low)
-    if m:
-        return ChainQuad(int(m.group(1)))
-    m = re.match(r"m(\d+)\(", low)
-    if m and low.endswith(")"):
-        inner = _parse_spec(s, lo + m.end(), hi - 1, base)
-        return Mat(int(m.group(1)), inner)
-    raise _spec_error(f"unrecognised ring term {term!r}", lo, base)
+
+    def literal(digits: str) -> int:
+        # comparing digit counts first keeps int() off huge strings
+        if len(digits.lstrip("0")) > len(str(cap)) or int(digits) > cap:
+            shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+            raise CardinalityCapError(
+                f"{term[:40]}: literal {shown} is above the size cap {cap}"
+                f" (at position {lo + base})"
+            )
+        return int(digits)
+
+    if m := re.fullmatch(r"z(\d+)", low):
+        spec = Zm(literal(m.group(1)))
+    elif m := re.fullmatch(r"gf\((\d+)\)", low):
+        # factoring q shows that p is prime; only the coefficient rule is left
+        spec = GF(*_prime_power(literal(m.group(1))))
+        _check_coefficients(spec)
+        return spec
+    elif m := re.fullmatch(r"gf\((\d+)\^(\d+)\)", low):
+        spec = GF(literal(m.group(1)), literal(m.group(2)))
+    elif m := re.fullmatch(r"chain\((\d+)\)", low):
+        spec = ChainQuad(literal(m.group(1)))
+    elif (m := re.match(r"m(\d+)\(", low)) and low.endswith(")"):
+        inner = _parse_spec(s, lo + m.end(), hi - 1, base, cap, nesting + 1)
+        spec = Mat(literal(m.group(1)), inner)
+    else:
+        raise _spec_error(f"unrecognised ring term {term!r}", lo, base)
+    _check_term(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +471,25 @@ class Ideal:
 
 # -- constructor kernels ----------------------------------------------------
 #
-# Each kernel returns (names, add, mul, neg, add_exponent, char_exp) in a raw
-# element encoding; _assemble relabels so that the multiplicative identity
-# lands on index 1 and computes the unit group.
+# Each kernel returns (names, add, mul, neg, add_exponent, char_exp, one) in a
+# raw element encoding, with ``one`` the raw index of the multiplicative
+# identity.  _build relabels so that it lands on index 1 and reads the units
+# off the rows of mul: x is a unit iff 1 is in x's row, since one-sided
+# inverses are two-sided in a finite ring.  The tables come from _kron
+# (componentwise operations), GF(p^k) log tables and M_n(S) row products.
+
+def _kron(left, right):
+    """The table of (a, b) o (c, d) = (a o c, b o d) on indices a * |right| + b."""
+    s = len(right)
+    high = [[x * s for x in row] for row in left]
+    return [[h + lo for h in hrow for lo in lrow] for hrow in high for lrow in right]
+
+
+def _kron_vec(left, right):
+    """The map (a, b) -> (left[a], right[b]) on indices a * |right| + b."""
+    s = len(right)
+    return [x * s + y for x in left for y in right]
+
 
 def _build_zm(m: int):
     names = [str(a) for a in range(m)]
@@ -427,21 +497,38 @@ def _build_zm(m: int):
     mul = [[(a * b) % m for b in range(m)] for a in range(m)]
     neg = [(-a) % m for a in range(m)]
     char = list(range(m))
-    return names, add, mul, neg, m, char
+    return names, add, mul, neg, m, char, 1
+
+
+def _primitive_powers(p: int, k: int, modulus: Sequence[int]) -> list[int]:
+    """[g^0, g^1, ..., g^(p^k - 2)] for the first primitive element g of GF(p^k)."""
+    for g in range(1, p ** k):
+        poly, cur, powers = _digits(g, p, k), (1,), [1]
+        while True:  # the powers of g return to 1 within p^k - 1 steps
+            cur = _poly_mod(_poly_mul(cur, poly, p), modulus, p)
+            if cur == (1,):
+                break
+            powers.append(_undigits(cur, p))
+        if len(powers) == p ** k - 1:
+            return powers
+    raise RingSpecError(f"GF({p}^{k}) has no primitive element")  # unreachable
 
 
 def _build_gf(p: int, k: int):
     size = p ** k
-    modulus = _smallest_irreducible(p, k)
-    polys = [_digits(v, p, k) for v in range(size)]
-    names = ["".join(str(d) for d in poly) for poly in polys]
+    names = ["".join(str(d) for d in _digits(v, p, k)) for v in range(size)]
+    # coefficient vectors add digit by digit: the k-fold combination of Z_p
+    add = reduce(_kron, [[[(a + b) % p for b in range(p)] for a in range(p)]] * k)
+    neg = reduce(_kron_vec, [[(-a) % p for a in range(p)]] * k)
 
-    def enc(poly: Sequence[int]) -> int:
-        return _undigits(tuple(poly) + (0,) * (k - len(poly)), p)
-
-    add = [[enc([(x + y) % p for x, y in zip(a, b)]) for b in polys] for a in polys]
-    mul = [[enc(_poly_mod(_poly_mul(a, b, p), modulus, p)) for b in polys] for a in polys]
-    neg = [enc([(-x) % p for x in a]) for a in polys]
+    # mul[a][b] = exp[log a + log b] for nonzero a and b
+    exp = _primitive_powers(p, k, _smallest_irreducible(p, k))
+    log = [0] * size
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp += exp
+    logs = log[1:]
+    mul = [[0] * size] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1))
     def power(x: int, e: int) -> int:
@@ -463,66 +550,61 @@ def _build_gf(p: int, k: int):
         if any(digs[1:]):
             raise CharacterError(f"trace of element {x} left the prime field")
         char.append(digs[0])
-    return names, add, mul, neg, p, char
+    return names, add, mul, neg, p, char, 1
 
 
 def _build_mat(n: int, inner: Ring):
+    # A matrix's index has base |S| digits in row-major order, so it is also
+    # its n row vectors as base m = |S|^n digits, row 0 least significant.
     s = inner.size
-    size = s ** (n * n)
+    m = s ** n
+    size = m ** n
     entries = [_digits(v, s, n * n) for v in range(size)]
     names = ["[" + ";".join(inner.element_names[e] for e in ent) + "]" for ent in entries]
 
-    def enc(ent: Sequence[int]) -> int:
-        return _undigits(ent, s)
+    vadd = reduce(_kron, [inner.add_table] * n)  # row vectors
+    add = reduce(_kron, [vadd] * n)
+    neg = reduce(_kron_vec, [inner.neg_table] * (n * n))
 
-    iadd, imul = inner.add_table, inner.mul_table
-    add = [
-        [enc([iadd[x][y] for x, y in zip(a, b)]) for b in entries]
-        for a in entries
-    ]
-    neg = [enc([inner.neg_table[x] for x in a]) for a in entries]
-
-    mul = []
-    for a in entries:
-        row = []
-        for b in entries:
-            prod = []
-            for r in range(n):
-                for c in range(n):
-                    acc = 0
-                    for t in range(n):
-                        acc = iadd[acc][imul[a[r * n + t]][b[t * n + c]]]
-                    prod.append(acc)
-            row.append(enc(prod))
-        mul.append(row)
+    # scaled[x][w] = x * w for x in S and a row vector w
+    scaled = [reduce(_kron_vec, [row] * n) for row in inner.mul_table]
+    # rowprod[v][B] = v * B = sum over t of v_t * (row t of B), for every
+    # row vector v and matrix B
+    rowprod = []
+    for v in range(m):
+        coeffs = _digits(v, s, n)
+        acc = scaled[coeffs[n - 1]]
+        for t in range(n - 2, -1, -1):
+            acc = [vadd[hi][lo] for hi in acc for lo in scaled[coeffs[t]]]
+        rowprod.append(acc)
+    # row r of A * B is (row r of A) * B: mul[A][B] combines the n row
+    # products in base m, rows of mul in index order of A
+    mul = [[w * m ** (n - 1) for w in prods] for prods in rowprod]
+    for r in range(n - 2, -1, -1):
+        weight = m ** r
+        mul = [
+            [hi + lo * weight for hi, lo in zip(hrow, prods)]
+            for hrow in mul for prods in rowprod
+        ]
 
     char = []
+    iadd = inner.add_table
     for a in entries:
         tr = 0
         for r in range(n):
             tr = iadd[tr][a[r * n + r]]
         char.append(inner.char_exp[tr])
-    return names, add, mul, neg, inner.add_exponent, char
+    one = sum(s ** (r * n + r) for r in range(n))
+    return names, add, mul, neg, inner.add_exponent, char, one
 
 
 def _build_prod(left: Ring, right: Ring):
     bs = right.size
-    size = left.size * bs
-    pairs = [(i // bs, i % bs) for i in range(size)]
+    pairs = [(i // bs, i % bs) for i in range(left.size * bs)]
     names = [f"{left.element_names[a]}|{right.element_names[b]}" for a, b in pairs]
-
-    def enc(a: int, b: int) -> int:
-        return a * bs + b
-
-    add = [
-        [enc(left.add_table[a][c], right.add_table[b][d]) for c, d in pairs]
-        for a, b in pairs
-    ]
-    mul = [
-        [enc(left.mul_table[a][c], right.mul_table[b][d]) for c, d in pairs]
-        for a, b in pairs
-    ]
-    neg = [enc(left.neg_table[a], right.neg_table[b]) for a, b in pairs]
+    add = _kron(left.add_table, right.add_table)
+    mul = _kron(left.mul_table, right.mul_table)
+    neg = _kron_vec(left.neg_table, right.neg_table)
 
     n_left, n_right = left.add_exponent, right.add_exponent
     n = lcm(n_left, n_right)
@@ -530,49 +612,40 @@ def _build_prod(left: Ring, right: Ring):
         ((n // n_left) * left.char_exp[a] + (n // n_right) * right.char_exp[b]) % n
         for a, b in pairs
     ]
-    return names, add, mul, neg, n, char
+    return names, add, mul, neg, n, char, bs + 1
 
 
 def _build_chain(q: int, fld: Ring):
-    # elements a + b*u with u^2 = 0, a and b in the q-element field
-    size = q * q
-    pairs = [(i % q, i // q) for i in range(size)]
+    # elements a + b*u with u^2 = 0, a and b in the q-element field, on
+    # indices a + q*b
+    pairs = [(i % q, i // q) for i in range(q * q)]
     names = [f"{fld.element_names[a]}+{fld.element_names[b]}u" for a, b in pairs]
-
-    def enc(a: int, b: int) -> int:
-        return a + q * b
-
     fadd, fmul = fld.add_table, fld.mul_table
-    add = [
-        [enc(fadd[a][c], fadd[b][d]) for c, d in pairs]
-        for a, b in pairs
-    ]
+    add = _kron(fadd, fadd)
     mul = [
-        [enc(fmul[a][c], fadd[fmul[a][d]][fmul[b][c]]) for c, d in pairs]
+        [fmul[a][c] + q * fadd[fmul[a][d]][fmul[b][c]] for c, d in pairs]
         for a, b in pairs
     ]
-    neg = [enc(fld.neg_table[a], fld.neg_table[b]) for a, b in pairs]
+    neg = _kron_vec(fld.neg_table, fld.neg_table)
     char = [fld.char_exp[fadd[a][b]] for a, b in pairs]
-    return names, add, mul, neg, fld.add_exponent, char
+    return names, add, mul, neg, fld.add_exponent, char, 1
 
 
-def _relabel_identity(names, add, mul, neg, char):
-    """Swap element labels so the multiplicative identity has index 1."""
-    size = len(names)
-    one = next(
-        e for e in range(size)
-        if all(mul[e][x] == x == mul[x][e] for x in range(size))
-    )
+def _relabel_identity(one, names, add, mul, neg, char):
+    """Swap the labels 1 and ``one`` so the multiplicative identity has index 1."""
     if one == 1:
         return names, add, mul, neg, char
-    perm = list(range(size))
+    perm = list(range(len(names)))
     perm[1], perm[one] = one, 1  # involution
-    names = [names[perm[i]] for i in range(size)]
-    add = [[perm[add[perm[i]][perm[j]]] for j in range(size)] for i in range(size)]
-    mul = [[perm[mul[perm[i]][perm[j]]] for j in range(size)] for i in range(size)]
-    neg = [perm[neg[perm[i]]] for i in range(size)]
-    char = [char[perm[i]] for i in range(size)]
-    return names, add, mul, neg, char
+
+    def swap(seq: list) -> list:
+        seq[1], seq[one] = seq[one], seq[1]
+        return seq
+
+    add = swap([swap([perm[x] for x in row]) for row in add])
+    mul = swap([swap([perm[x] for x in row]) for row in mul])
+    neg = swap([perm[x] for x in neg])
+    return swap(list(names)), add, mul, neg, swap(list(char))
 
 
 def _build(spec: RingSpec) -> Ring:
@@ -590,21 +663,17 @@ def _build(spec: RingSpec) -> Ring:
     else:
         raise RingSpecError(f"unknown ring spec {spec!r}")
 
-    names, add, mul, neg, n_exp, char = parts
-    names, add, mul, neg, char = _relabel_identity(names, add, mul, neg, char)
-    size = len(names)
-    units = frozenset(
-        u for u in range(size)
-        if any(mul[u][v] == 1 == mul[v][u] for v in range(size))
-    )
+    names, add, mul, neg, n_exp, char, one = parts
+    names, add, mul, neg, char = _relabel_identity(one, names, add, mul, neg, char)
+    mul_table = tuple(tuple(row) for row in mul)
     return Ring(
         spec=spec,
         name=canonical_ring_name(spec),
-        size=size,
+        size=len(names),
         add_table=tuple(tuple(row) for row in add),
-        mul_table=tuple(tuple(row) for row in mul),
+        mul_table=mul_table,
         neg_table=tuple(neg),
-        units=units,
+        units=frozenset(u for u, row in enumerate(mul_table) if 1 in row),
         add_exponent=n_exp,
         char_exp=tuple(char),
         element_names=tuple(names),
@@ -617,14 +686,13 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
 
     Raises ``RingSpecError``/``CardinalityCapError`` for invalid or oversized
     specs and ``CharacterError`` if the built-in character fails its
-    additivity or generating test (an internal consistency failure).
+    additivity or generating test (an internal consistency failure).  The
+    cap is checked first, so no literal above it is factored.
     """
+    if _capped_cardinality(spec, cap) > cap:
+        # not named: the name of a huge field spells out its size
+        raise CardinalityCapError(f"the ring has more than {cap} elements, above the size cap")
     validate_spec(spec)
-    size = spec_cardinality(spec)
-    if size > cap:
-        raise CardinalityCapError(
-            f"{canonical_ring_name(spec)} has {size} elements, above the cap {cap}"
-        )
     ring = _build(spec)
     if not is_generating_character(ring, ring.char_exp):
         raise CharacterError(f"built-in character of {ring.name} is not generating")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -213,6 +214,27 @@ def test_large_prime_literal_exits_1(capsys):
     code, _, err = run(capsys, "ring", "info", "--ring", "GF(1000000007)")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "GF(99999999999973)", "GF(10000000000000061)", "CHAIN(10000000000000061)",
+    "GF(2^100000)", "Z" + "1" * 5000,
+])
+def test_literal_above_cap_exits_1_fast(capsys, spec):
+    # checked on the literal's digits: no factoring, no huge integer or string
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ring", "info", "--ring", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "above the size cap 512" in err
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("spec", ["M1(" * 2000 + "Z2" + ")" * 2000, "x".join(["Z2"] * 2000)])
+def test_deep_nesting_exits_1(capsys, spec):
+    code, _, err = run(capsys, "ring", "info", "--ring", spec)
+    assert code == 1
+    assert "nests more than" in err
 
 
 def test_missing_gen_file_exits_1(capsys):

@@ -192,13 +192,15 @@ def test_character_formula_matches_linear_system(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", ["CHAIN(9)", "Z4xGF(4)", "M2(GF(3))", "M2(Z4)", "CHAIN(16)", "Z8xZ64"]
+    "spec",
+    ["CHAIN(9)", "Z4xGF(4)", "M2(GF(3))", "M2(Z4)", "CHAIN(16)", "Z8xZ64", "GF(256)", "M3(GF(2))"],
 )
 def test_oracle_agreement_on_mixed_constructors(spec):
     # constructors the named examples never combine: chain over an extension
     # field, product with a field factor, matrices over an odd prime field;
     # then rings near the size cap: non-commutative M2(Z4) (256 elements),
-    # a chain ring over GF(16), non-local Z8xZ64 (512 elements)
+    # a chain ring over GF(16), non-local Z8xZ64 (512 elements), the field
+    # GF(256) and non-commutative M3(GF(2)) (512 elements)
     assert table(spec).norm_weight == fc.solve_weight_axioms(ring(spec))
 
 

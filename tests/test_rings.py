@@ -1,3 +1,4 @@
+import hashlib
 from math import lcm
 
 import pytest
@@ -289,10 +290,93 @@ def test_cardinality_cap():
     with pytest.raises(fc.CardinalityCapError):
         fc.build_ring(fc.Mat(2, fc.Zm(5)), cap=512)
     assert fc.build_ring(fc.Zm(600), cap=1024).size == 600
-    # large prime literals: factoring must stop at the square root
-    for text in ("GF(1000000007)", "CHAIN(1000000007)", "GF(999999999989)"):
+    # large prime literals are rejected before they are factored
+    for text in (
+        "GF(1000000007)", "CHAIN(1000000007)", "GF(999999999989)",
+        "GF(10000000000000061)", "CHAIN(10000000000000061)",
+    ):
         with pytest.raises(fc.CardinalityCapError):
             fc.build_ring(fc.parse_ring_spec(text))
+
+
+def test_cap_checked_before_large_sizes_are_built():
+    # the size is compared with the cap without building it, 2^(9 * 512^4)
+    # and 2^100000 here
+    with pytest.raises(fc.CardinalityCapError, match="more than 512 elements"):
+        fc.build_ring(fc.parse_ring_spec("M512(M512(Z512))"))
+    with pytest.raises(fc.CardinalityCapError, match="more than 512 elements"):
+        fc.build_ring(fc.GF(2, 100000))
+    # a literal is checked against the cap that parse_ring_spec is given
+    assert fc.parse_ring_spec("Z600", cap=1024) == fc.Zm(600)
+    with pytest.raises(fc.CardinalityCapError, match="literal 600"):
+        fc.parse_ring_spec("Z600")
+
+
+def test_deep_nesting_rejected():
+    # matrix nesting and long products both nest the spec tree
+    for deep in ("M1(" * 2000 + "Z2" + ")" * 2000, "x".join(["Z2"] * 2000),
+                 "M1(" * 200 + "x".join(["Z2"] * 100) + ")" * 200):
+        with pytest.raises(fc.RingSpecError, match="nests more than 256 levels"):
+            fc.parse_ring_spec(deep)
+    assert fc.build_ring(fc.parse_ring_spec("M1(" * 200 + "Z2" + ")" * 200)).size == 2
+    assert fc.build_ring(fc.parse_ring_spec("M1(" * 255 + "GF(2)" + ")" * 255)).size == 2
+
+
+# sha256 of each ring's tables as built at the parent commit of the
+# structural table builders (Kronecker combinations, GF(p^k) log tables,
+# row-vector matrix products); element indices feed the pinned outputs,
+# so every table must come out identical entry for entry
+PARENT_TABLE_DIGESTS = {
+    "GF(2)": "e92f78e4bb8717b036a3f3f50f9003f6a055f384441416a8dc3d66901cdc9881",
+    "GF(3)": "e3155b95ddb88c603fc4cbcda247b25f9ab993c7478c606fb0a4147712b58bbe",
+    "GF(4)": "dbceda03765c9ca7589e4b3c5d1efee6cd35efbf9e4e9d184b6783471165314f",
+    "GF(5)": "de7bccb0e9b8286304b17aede3274dc3abd060363fe5e4f45e6e74f7dba66be1",
+    "GF(7)": "1941c9bf3de7240bcd95ec17ffeb9f1fc81852632d6f6caf016a4837e1d3f991",
+    "GF(8)": "f5d4d09826a7e456147e8f7d8b626ee39491ad2d1c8684ed586b3276f243f0ac",
+    "GF(9)": "25f9603e5dd7c9829161497eb0919c95514f33cc76d0c4276ba7a2978ca19543",
+    "GF(16)": "a223898cf3127304ab1ceb9333f8f19820ad6f727805175df390d593bc32e6cf",
+    "GF(25)": "d7df4dbb3a2ff3d0d6fb119085b6987e37a800949b3f36d92fe9fc3461f8dffa",
+    "GF(27)": "195aaf5ae4d565559534dbd2006ced407735526fb35f9429b60f9e6a8dd7670a",
+    "GF(32)": "8c9604a2130ab783f3b89eec4fc546b2d63bdd85fc6bffa6bcb4e90f7913ed4f",
+    "GF(49)": "b7dae2071b62c096032865d9039e094691b9074ccf4dc97374d6b43cb2c1729a",
+    "GF(64)": "7eb03e94acaf99f1f4d3561af35c9fc2552944dc4e4fcd3a7b736034529fb78e",
+    "GF(81)": "d7dca2e07519a92d40513c1cc39c79628edd74ab570b3301ff4c433b2303b08f",
+    "GF(125)": "6c1d3bd7826a52b18329f32f024896c2893ea2402226af9abee3cec76a328342",
+    "GF(128)": "ce96d586f454368a5e832adfe3403eabc7c49a5a4a8e37d0ff2f7530e1eec2e6",
+    "GF(243)": "29f5c7b46f6ff4e00fcc634f2b41371ecf19763d5eabccd34265448ce2d6f883",
+    "GF(256)": "c9b2aab67d62f63cbdac64fddf4a1f806fd55eab8f161c9c4328dd230b5a4f18",
+    "GF(343)": "0e0d968dd6e009f56089fd10803e76104e4492846b21f8edbf8378c42bc45d88",
+    "GF(512)": "f4dbe2350a3f527674090fc635e0809289d6eab9bfb1bef699971846cd0e700f",
+    "GF(251)": "4ef3f4fce890ba21910e4fa6aa62019ad870ca16053d80abd0df797359bf3b95",
+    "GF(509)": "e3b772461ca2ec1ffe691699548a024fc60300e92d8f6d20751325188a0547f0",
+    "M2(GF(2))": "b70bec3b6c37a4b44da1c4d81403907f1434ce1d49e652a1cbdb7b03a949c874",
+    "M2(GF(3))": "20e4b4a55ab85c9ebdbac4da326c7b6cc3ad5f5e6e83b83e0182106065aaa1f9",
+    "M2(GF(4))": "05d7e0c0681ebda50b9bda7cd56dbcbd0de7f53bba36f4767a6a054f1bf65c46",
+    "M2(Z4)": "224bbd7a6f92d1ee366ae07ec89deb7673fea08a77065ead74b091e91cf7ef9a",
+    "M3(GF(2))": "b52d8670d5bd9464acd3c1fcbf899b9da29c3829fadbc128aacab6f13cde409a",
+    "M2(CHAIN(2))": "5b12bcd4a057d5ac3ead01b670f02bf9aaf49dde99786cdf4d899748add635c7",
+    "CHAIN(2)": "1ddf47812015877cb59852745202b708d220c25e3c8c7de78880e16ace596241",
+    "CHAIN(3)": "ff7680ec0e33c44e6c05d5bba3b2a6ec62fa6db54a0afc11336de3954e74985d",
+    "CHAIN(4)": "e9d89a978ba2297c624efc8c50950fd56ffc9e019e948708ea5545af893d5968",
+    "CHAIN(5)": "a13de2485cf8ea84ee2ab0cd50af3abf2ca5d3dafb0ac62831cfc4d4b0811a1f",
+    "CHAIN(7)": "0f2796ab5fca915fcc824d2eac9c374a98ca8e87d87c920c466b8dd7ad0315f3",
+    "CHAIN(8)": "4d16701da8544626f9935770fc68d8e6f33304eb8c971f48593ae2da73e977fb",
+    "CHAIN(9)": "d46f012386f8af4d48c0a4fdfe5ca63540c407c365320112e37bb674df0843f7",
+    "CHAIN(11)": "c07e0701d51a16786ae799554845e7db2865892e0fafd314129c89c5f7e04d4c",
+    "CHAIN(13)": "e43e0db5efe7ff9734fb4d95618276426254ffcc919f2f211cea8677fb6e956e",
+    "CHAIN(16)": "c838fe0815eb8666a7f655d9482ffebe2c9ca75705c7887c0ad9d7ff2c91bbce",
+    "Z2xGF(256)": "8ca460f7fd0e62862d2d2f77b9a3eb257446d80f4ed7b80b1e3aab536de27f91",
+    "Z8xZ64": "c394c91df74ca0a66566d9e484adf17781e98e70e334b2def50521805687a12d",
+    "GF(2)xCHAIN(4)xZ8": "c23488a5082943540575b427f2309b7c0d65e2436ad258f5280be89c849aeeec",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PARENT_TABLE_DIGESTS))
+def test_tables_match_parent_build(spec):
+    r = fc.build_ring(fc.parse_ring_spec(spec))
+    data = (r.add_table, r.mul_table, r.neg_table, sorted(r.units), r.add_exponent,
+            r.char_exp, r.element_names)
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == PARENT_TABLE_DIGESTS[spec]
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
