@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lincode import LinearCode, cyclic_span, ell
 from .rings import minimal_left_ideals
@@ -52,20 +52,21 @@ class BoundReport:
 def _report(
     bound: str,
     pre: list[tuple[str, bool]],
-    lhs,
-    rhs,
+    sides: Callable[[], tuple] | None,
     details: dict,
     direction: str = "le",
 ) -> BoundReport:
-    # direction "le": satisfied iff lhs <= rhs (size bounds);
-    # direction "ge": satisfied iff lhs >= rhs (Singleton-type bounds)
+    """``sides()`` gives (lhs, rhs) and runs only when every precondition holds.
+
+    Direction "le": satisfied iff lhs <= rhs (size bounds); "ge": iff
+    lhs >= rhs (Singleton-type bounds).
+    """
     applicable = all(holds for _, holds in pre)
-    satisfied = sharp = None
+    lhs = rhs = satisfied = sharp = None
     if applicable:
+        lhs, rhs = sides()
         satisfied = lhs <= rhs if direction == "le" else lhs >= rhs
         sharp = lhs == rhs
-    else:
-        lhs = rhs = None
     return BoundReport(
         bound=bound,
         preconditions=tuple(pre),
@@ -98,20 +99,29 @@ def ceil_log(base: int, x: Fraction) -> int:
     return t
 
 
+def _plotkin(code: LinearCode, base: int, hamming: int) -> tuple[Fraction, Fraction]:
+    """Sides of M <= base * (d/gamma - hamming) / (d/gamma - n)."""
+    d = code.min_hom_norm
+    return Fraction(code.size), base * (d - hamming) / (d - code.n)
+
+
+def _singleton(code: LinearCode, base: int, divisor: int) -> tuple[int, int]:
+    """Sides of n - ceil((base-1)/base * d/gamma) >= ceil(log_base (M/divisor))."""
+    lhs = code.n - ceil(Fraction(base - 1, base) * code.min_hom_norm)
+    return lhs, ceil_log(base, Fraction(code.size, divisor))
+
+
 def max_cyclic_size(code: LinearCode, incomplete_support_only: bool = False) -> int:
     """Largest size of a cyclic submodule Rc over codewords c.
 
-    With ``incomplete_support_only`` the maximum runs over words whose
-    support misses at least one coordinate.  The zero word counts among
-    them (with R0 of size 1), so the result is 1 when no nonzero word has
-    incomplete support.
+    Read from the code's cyclic-size table (``LinearCode.cyclic_size``),
+    which the first call fills.  With ``incomplete_support_only`` the
+    maximum runs over words whose support misses at least one coordinate.
+    The zero word counts among them (with R0 of size 1), so the result is
+    1 when no nonzero word has incomplete support.
     """
-    best = 0
-    for w in code.word_order:
-        if incomplete_support_only and ell(w) == code.n:
-            continue
-        best = max(best, len(cyclic_span(code.ring, w)))
-    return best
+    return max((code.cyclic_size(w) for w in code.word_order
+                if not (incomplete_support_only and ell(w) == code.n)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +135,9 @@ def averaging_bound(code: LinearCode) -> BoundReport:
         ("code has a nonzero word", d is not None),
         ("code support is full (ell(C) = n)", code.ell_C == code.n),
     ]
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = Fraction(code.size - 1, code.size) * d
-        rhs = Fraction(code.n)
-    return _report("averaging", pre, lhs, rhs, {"M": code.size, "support_size": code.ell_C})
+    return _report("averaging", pre,
+                   lambda: (Fraction(code.size - 1, code.size) * d, Fraction(code.n)),
+                   {"M": code.size, "support_size": code.ell_C})
 
 
 def plotkin_refined(code: LinearCode, c: Sequence[int]) -> BoundReport:
@@ -145,29 +153,19 @@ def plotkin_refined(code: LinearCode, c: Sequence[int]) -> BoundReport:
         ("d/gamma > n", d is not None and d > code.n),
         ("ell(c) < d/gamma", d is not None and lc < d),
     ]
-    lhs = rhs = None
     cyclic = len(cyclic_span(code.ring, c))
-    if all(h for _, h in pre):
-        lhs = Fraction(code.size)
-        rhs = cyclic * (d - lc) / (d - code.n)
-    return _report(
-        "plotkin-refined",
-        pre,
-        lhs,
-        rhs,
-        {
-            "word": c,
-            "hamming_weight": lc,
-            "cyclic_size": cyclic,
-        },
-    )
+    return _report("plotkin-refined", pre, lambda: _plotkin(code, cyclic, lc),
+                   {"word": c, "hamming_weight": lc, "cyclic_size": cyclic})
 
 
 def best_plotkin_refined(code: LinearCode) -> BoundReport:
     """Tightest per-word instance: the qualifying word minimising the bound.
 
-    Ties go to the earliest word in the code's deterministic order.  When
-    the bound is inapplicable the report carries no chosen word.
+    Words are ranked by |Rc| * (d/gamma - ell(c)), read from the code's
+    cyclic-size table (d/gamma - n > 0 is common to all of them), and
+    only the winner gets a report.  Ties go to the earliest word in the
+    code's deterministic order.  When the bound is inapplicable the
+    report carries no chosen word.
     """
     d = code.min_hom_norm
     if d is None or not d > code.n:
@@ -176,22 +174,12 @@ def best_plotkin_refined(code: LinearCode) -> BoundReport:
             ("d/gamma > n", d is not None and d > code.n),
             ("ell(c) < d/gamma", False),
         ]
-        return _report(
-            "plotkin-refined",
-            pre,
-            None,
-            None,
-            {"word": None, "hamming_weight": None, "cyclic_size": None},
-        )
-    best: BoundReport | None = None
-    for w in code.word_order:
-        if ell(w) >= d:
-            continue
-        report = plotkin_refined(code, w)
-        if best is None or report.rhs < best.rhs:
-            best = report
-    assert best is not None  # the zero word always qualifies when d > n >= 0
-    return best
+        return _report("plotkin-refined", pre, None,
+                       {"word": None, "hamming_weight": None, "cyclic_size": None})
+    # the zero word always qualifies when d > n >= 0
+    best = min((w for w in code.word_order if ell(w) < d),
+               key=lambda w: code.cyclic_size(w) * (d - ell(w)))
+    return plotkin_refined(code, best)
 
 
 def plotkin_minham(code: LinearCode) -> BoundReport:
@@ -204,17 +192,8 @@ def plotkin_minham(code: LinearCode) -> BoundReport:
         ("min Hamming weight <= n", lo is not None and lo <= code.n),
         ("n < d/gamma", d is not None and code.n < d),
     ]
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = Fraction(code.size)
-        rhs = code.ring.size * (d - lo) / (d - code.n)
-    return _report(
-        "plotkin-minham",
-        pre,
-        lhs,
-        rhs,
-        {"ring_size": code.ring.size, "min_hamming": lo},
-    )
+    return _report("plotkin-minham", pre, lambda: _plotkin(code, code.ring.size, lo),
+                   {"ring_size": code.ring.size, "min_hamming": lo})
 
 
 def plotkin_minimal_ideal(code: LinearCode) -> BoundReport:
@@ -228,17 +207,8 @@ def plotkin_minimal_ideal(code: LinearCode) -> BoundReport:
         ("min Hamming weight < n", lo is not None and lo < code.n),
         ("n < d/gamma", d is not None and code.n < d),
     ]
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = Fraction(code.size)
-        rhs = q * (d - lo) / (d - code.n)
-    return _report(
-        "plotkin-minimal-ideal",
-        pre,
-        lhs,
-        rhs,
-        {"Q": q, "min_hamming": lo},
-    )
+    return _report("plotkin-minimal-ideal", pre, lambda: _plotkin(code, q, lo),
+                   {"Q": q, "min_hamming": lo})
 
 
 def singleton_P(code: LinearCode) -> BoundReport:
@@ -258,11 +228,8 @@ def singleton_P(code: LinearCode) -> BoundReport:
         ("min Hamming weight < n", lo is not None and lo < code.n),
     ]
     p = max_cyclic_size(code, incomplete_support_only=True) if code.n > 0 else None
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = code.n - ceil(Fraction(p - 1, p) * d)
-        rhs = ceil_log(p, Fraction(code.size, code.ring.size))
-    return _report("singleton-P", pre, lhs, rhs, {"P": p}, direction="ge")
+    return _report("singleton-P", pre, lambda: _singleton(code, p, code.ring.size), {"P": p},
+                   direction="ge")
 
 
 def singleton_Q(code: LinearCode) -> BoundReport:
@@ -274,11 +241,7 @@ def singleton_Q(code: LinearCode) -> BoundReport:
         ("n < d/gamma", d is not None and code.n < d),
     ]
     q = max_cyclic_size(code)
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = code.n - ceil(Fraction(q - 1, q) * d)
-        rhs = ceil_log(q, Fraction(code.size, q))
-    return _report("singleton-Q", pre, lhs, rhs, {"Q": q}, direction="ge")
+    return _report("singleton-Q", pre, lambda: _singleton(code, q, q), {"Q": q}, direction="ge")
 
 
 def singleton_weak(code: LinearCode) -> BoundReport:
@@ -297,11 +260,8 @@ def singleton_weak(code: LinearCode) -> BoundReport:
         ("code has a nonzero word", d is not None),
         ("n <= d/gamma", d is not None and code.n <= d),
     ]
-    lhs = rhs = None
-    if all(h for _, h in pre):
-        lhs = code.n - ceil(Fraction(base - 1, base) * d)
-        rhs = ceil_log(base, Fraction(code.size, base))
-    return _report("singleton-weak", pre, lhs, rhs, {"base": base}, direction="ge")
+    return _report("singleton-weak", pre, lambda: _singleton(code, base, base), {"base": base},
+                   direction="ge")
 
 
 def check_all(code: LinearCode) -> list[BoundReport]:

@@ -19,6 +19,7 @@ from .homweight import HomWeightTable, hom_weight_table
 from .lincode import (
     LinearCode,
     Word,
+    _check_sweep,
     build_code,
     cyclic_span,
     ell,
@@ -113,6 +114,8 @@ def hjelmslev_line(ring: Ring, table: HomWeightTable | None = None) -> LinearCod
     residue field this yields q^2 + q columns.
     """
     rad = _length2_chain_radical(ring)
+    # the q^2 + q columns (q = |rad|) sweep R^2: refuse before enumerating points
+    _check_sweep(ring, 2, len(rad) ** 2 + len(rad))
     mul = ring.mul_table
     vectors = list(product(range(ring.size), repeat=2))
     outside = [v for v in vectors if not (v[0] in rad and v[1] in rad)]
@@ -253,15 +256,5 @@ def residual_chain(code: LinearCode) -> ResidualChain:
 
 
 def _select_chain_word(code: LinearCode) -> Word | None:
-    best: Word | None = None
-    best_key: tuple[int, int] | None = None
-    for w in code.word_order:
-        if not any(w):
-            continue
-        lw = ell(w)
-        if lw >= code.n:
-            continue
-        key = (-len(cyclic_span(code.ring, w)), lw)
-        if best_key is None or key < best_key:
-            best, best_key = w, key
-    return best
+    return min((w for w in code.word_order if any(w) and ell(w) < code.n),
+               key=lambda w: (-code.cyclic_size(w), ell(w)), default=None)

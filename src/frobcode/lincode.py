@@ -83,6 +83,34 @@ class LinearCode:
         self.min_hom_norm = min(
             (extend_weight(table, w) for w in nonzero), default=None
         )
+        # {word: |Rc|}, filled by the first cyclic_size call; a plain field
+        # for the reason given on Ring._facts
+        self._cyclic_sizes: dict[Word, int] | None = None
+
+    def cyclic_size(self, c: Sequence[int]) -> int:
+        """|Rc|, the size of the cyclic submodule of the codeword ``c``.
+
+        The first call fills a table for every codeword, and every later
+        call reads it.  One ``cyclic_span`` serves a whole unit orbit,
+        since R(uc) = Rc for every unit u.  A caller that needs one word
+        only should call ``cyclic_span`` itself rather than fill the table.
+        """
+        if self._cyclic_sizes is None:
+            ring = self.ring
+            sizes: dict[Word, int] = {}
+            # unit multiples not yet met in word_order; popping them keys the
+            # table by the code's own word objects, not by fresh copies
+            pending: dict[Word, int] = {}
+            for w in self.word_order:
+                if w not in pending:
+                    size = len(cyclic_span(ring, w))
+                    pending.update((scale_word(ring, u, w), size) for u in ring.units)
+                sizes[w] = pending.pop(w)
+            self._cyclic_sizes = sizes
+        try:
+            return self._cyclic_sizes[tuple(c)]
+        except KeyError:
+            raise ValueError("word is not in the code") from None
 
     def __contains__(self, word: Sequence[int]) -> bool:
         return tuple(word) in self.words
@@ -97,19 +125,31 @@ class LinearCode:
         )
 
 
+_MESSAGE_CAP = 1 << 24
+
+
+def _check_sweep(ring: Ring, k: int, n: int, message_cap: int = _MESSAGE_CAP) -> None:
+    """Refuse a sweep of R^k into length-n words above |R|^k * n coordinates."""
+    if ring.size ** k * max(n, 1) > message_cap:
+        raise SweepCapError(
+            f"{ring.size}^{k} messages x {n} coordinates exceed the enumeration"
+            f" cap {message_cap}"
+        )
+
+
 def build_code(
     ring: Ring,
     rows: Sequence[Sequence[int]],
     table: HomWeightTable | None = None,
-    message_cap: int = 1 << 24,
+    message_cap: int = _MESSAGE_CAP,
 ) -> LinearCode:
     """Enumerate the code generated by the given rows.
 
     The message space R^k is swept in lexicographic index order; words are
-    deduplicated on first appearance, which fixes ``word_order``.
+    deduplicated on first appearance, which fixes ``word_order``.  The
+    sweep builds |R|^k words of n coordinates each, so ``SweepCapError``
+    is raised when |R|^k * n exceeds ``message_cap``.
     """
-    if table is None:
-        table = hom_weight_table(ring)
     rows = tuple(tuple(r) for r in rows)
     k = len(rows)
     n = len(rows[0]) if rows else 0
@@ -119,10 +159,9 @@ def build_code(
         for c in r:
             if not 0 <= c < ring.size:
                 raise ValueError(f"entry {c} outside the ring of size {ring.size}")
-    if ring.size ** k > message_cap:
-        raise SweepCapError(
-            f"{ring.size}^{k} messages exceed the enumeration cap {message_cap}"
-        )
+    _check_sweep(ring, k, n, message_cap)
+    if table is None:
+        table = hom_weight_table(ring)
     scaled = [[scale_word(ring, r, row) for r in range(ring.size)] for row in rows]
     zero = (0,) * n
     seen: set[Word] = set()

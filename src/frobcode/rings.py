@@ -212,54 +212,78 @@ def parse_ring_spec(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
     before it is converted or factored: a literal is at most the size of
     its term, so it puts every valid ring that contains it above the cap.
     The size of the whole ring is checked by ``build_ring``.
+
+    Parsing takes time linear in the length of the spec: one pass matches
+    the parentheses, and each level of the tree then jumps over its
+    parenthesised groups instead of rescanning them.
     """
     stripped = text.strip()
     base = len(text) - len(text.lstrip())
     if not stripped:
         raise RingSpecError("empty ring spec")
-    return _parse_spec(stripped, 0, len(stripped), base, cap, 0)
+    # groups[i] = (index of the ')' matching the '(' at i, parenthesis
+    # levels from that '(' down to the innermost one inside it)
+    groups: dict[int, tuple[int, int]] = {}
+    open_: list[list[int]] = []  # [index, levels of the deepest group inside]
+    for i, ch in enumerate(stripped):
+        if ch == "(":
+            open_.append([i, 0])
+        elif ch == ")":
+            if not open_:
+                raise _spec_error("unbalanced ')'", i, base)
+            j, inside = open_.pop()
+            groups[j] = (i, inside + 1)
+            if open_:
+                open_[-1][1] = max(open_[-1][1], inside + 1)
+    if open_:
+        raise _spec_error("unbalanced '('", len(stripped) - 1, base)
+    return _parse_spec(stripped, 0, len(stripped), base, cap, 0, groups)
 
 
 def _spec_error(message: str, pos: int, base: int) -> RingSpecError:
     return RingSpecError(f"{message} (at position {pos + base})")
 
 
-def _parse_spec(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> RingSpec:
+def _parse_spec(
+    s: str, lo: int, hi: int, base: int, cap: int, nesting: int, groups: dict
+) -> RingSpec:
+    # s[lo:hi] is balanced except inside 'M<n>(...)' when the '(' after
+    # M<n> closes before the final ')': the walk then meets that ')'
     parts: list[tuple[int, int]] = []
-    depth = deepest = 0
-    start = lo
-    for i in range(lo, hi):
+    deepest = 0
+    start = i = lo
+    while i < hi:
         ch = s[i]
         if ch == "(":
-            depth += 1
-            deepest = max(deepest, depth)
+            i, levels = groups[i]
+            deepest = max(deepest, levels)
         elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise _spec_error("unbalanced ')'", i, base)
-        elif ch in "xX" and depth == 0:
+            raise _spec_error("unbalanced ')'", i, base)
+        elif ch in "xX":
             parts.append((start, i))
             start = i + 1
-    if depth != 0:
-        raise _spec_error("unbalanced '('", hi - 1, base)
+        i += 1
     parts.append((start, hi))
     nesting += len(parts) - 1
     if nesting + deepest > _MAX_NESTING:
         raise _spec_error(f"ring spec nests more than {_MAX_NESTING} levels deep", lo, base)
-    spec = _parse_term(s, *parts[0], base, cap, nesting)
+    spec = _parse_term(s, *parts[0], base, cap, nesting, groups)
     for lo_i, hi_i in parts[1:]:
-        spec = Prod(spec, _parse_term(s, lo_i, hi_i, base, cap, nesting))
+        spec = Prod(spec, _parse_term(s, lo_i, hi_i, base, cap, nesting, groups))
     return spec
 
 
-def _parse_term(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> RingSpec:
+_MAT_HEAD = re.compile(r"m(\d+)\(", re.IGNORECASE)
+
+
+def _parse_term(
+    s: str, lo: int, hi: int, base: int, cap: int, nesting: int, groups: dict
+) -> RingSpec:
     while lo < hi and s[lo].isspace():
         lo += 1
     while hi > lo and s[hi - 1].isspace():
         hi -= 1
-    term = s[lo:hi]
-    low = term.lower()
-    if not term:
+    if lo == hi:
         raise _spec_error("empty ring term", lo, base)
 
     def literal(digits: str) -> int:
@@ -267,11 +291,20 @@ def _parse_term(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> 
         if len(digits.lstrip("0")) > len(str(cap)) or int(digits) > cap:
             shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
             raise CardinalityCapError(
-                f"{term[:40]}: literal {shown} is above the size cap {cap}"
+                f"{s[lo:min(hi, lo + 40)]}: literal {shown} is above the size cap {cap}"
                 f" (at position {lo + base})"
             )
         return int(digits)
 
+    # a matrix term is matched on its head, so each level copies no more
+    # than its own characters of the spec
+    if (m := _MAT_HEAD.match(s, lo, hi)) and s[hi - 1] == ")":
+        inner = _parse_spec(s, m.end(), hi - 1, base, cap, nesting + 1, groups)
+        spec = Mat(literal(m.group(1)), inner)
+        _check_term(spec)
+        return spec
+    term = s[lo:hi]
+    low = term.lower()
     if m := re.fullmatch(r"z(\d+)", low):
         spec = Zm(literal(m.group(1)))
     elif m := re.fullmatch(r"gf\((\d+)\)", low):
@@ -283,9 +316,6 @@ def _parse_term(s: str, lo: int, hi: int, base: int, cap: int, nesting: int) -> 
         spec = GF(literal(m.group(1)), literal(m.group(2)))
     elif m := re.fullmatch(r"chain\((\d+)\)", low):
         spec = ChainQuad(literal(m.group(1)))
-    elif (m := re.match(r"m(\d+)\(", low)) and low.endswith(")"):
-        inner = _parse_spec(s, lo + m.end(), hi - 1, base, cap, nesting + 1)
-        spec = Mat(literal(m.group(1)), inner)
     else:
         raise _spec_error(f"unrecognised ring term {term!r}", lo, base)
     _check_term(spec)

@@ -256,6 +256,8 @@ def _check_lemmas(code):
         return
     n = code.n
     spans = {w: fc.cyclic_span(r, w) for w in code.word_order}
+    # the code's cyclic-size table, filled one span per unit orbit
+    assert all(code.cyclic_size(w) == len(spans[w]) for w in code.word_order)
 
     # removal of a short-support word leaves exactly its cyclic submodule,
     # and the residual parameters follow

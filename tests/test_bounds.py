@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -281,3 +283,65 @@ def test_max_cyclic_size_variants():
     sx = simplex_z4()
     assert fc.max_cyclic_size(sx) == 4
     assert fc.max_cyclic_size(sx, incomplete_support_only=True) == 2
+
+
+# ---------------------------------------------------------------------------
+# The cyclic-size table and the two selections that read it, against the
+# per-word scans they replaced, on non-commutative and non-local rings
+# ---------------------------------------------------------------------------
+
+def _scan_best_plotkin_refined(code):
+    """One plotkin_refined report per qualifying word; the first minimum wins."""
+    best = None
+    for w in code.word_order:
+        if fc.ell(w) >= code.min_hom_norm:
+            continue
+        report = fc.plotkin_refined(code, w)
+        if best is None or report.rhs < best.rhs:
+            best = report
+    return best
+
+
+def _scan_chain_word(code):
+    """Largest |Rc| over nonzero incomplete-support words, then smallest ell(c)."""
+    best = best_key = None
+    for w in code.word_order:
+        lw = fc.ell(w)
+        if not any(w) or lw >= code.n:
+            continue
+        key = (-len(fc.cyclic_span(code.ring, w)), lw)
+        if best_key is None or key < best_key:
+            best, best_key = w, key
+    return best
+
+
+def _random_codes(spec, count, rng):
+    """Codes whose columns are random nonzero vectors of R^k (repeats
+    allowed), so that d/gamma > n is common, as in simplex codes."""
+    r, t = ring(spec), table(spec)
+    for _ in range(count):
+        k, n = rng.randint(1, 2), rng.randint(1, 5)
+        vectors = [v for v in product(range(r.size), repeat=k) if any(v)]
+        columns = [rng.choice(vectors) for _ in range(n)]
+        yield fc.build_code(r, [tuple(col[i] for col in columns) for i in range(k)], t)
+
+
+def test_cyclic_size_table_and_selections_match_per_word_scans():
+    rng = random.Random(7)
+    refined = stages = 0
+    for spec in ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9"):
+        for code in _random_codes(spec, 60, rng):
+            for w in code.word_order:
+                assert code.cyclic_size(w) == len(fc.cyclic_span(code.ring, w))
+            d = code.min_hom_norm
+            if d is not None and d > code.n:
+                assert best_plotkin_refined(code) == _scan_best_plotkin_refined(code)
+                refined += 1
+            for stage in fc.residual_chain(code).stages:
+                assert stage.word == _scan_chain_word(stage.code)
+                if stage.word is not None:
+                    assert stage.cyclic_size == stage.code.cyclic_size(stage.word)
+                stages += 1
+    assert refined >= 30 and stages >= 500
+    with pytest.raises(ValueError, match="not in the code"):
+        simplex_z4().cyclic_size((1, 1, 1))

@@ -230,11 +230,28 @@ def test_literal_above_cap_exits_1_fast(capsys, spec):
     assert "Exceeds the limit" not in err
 
 
-@pytest.mark.parametrize("spec", ["M1(" * 2000 + "Z2" + ")" * 2000, "x".join(["Z2"] * 2000)])
+@pytest.mark.parametrize("spec", [
+    "M1(" * 2000 + "Z2" + ")" * 2000,
+    "x".join(["Z2"] * 2000),
+    # 120 KB nested 250 deep: parsing must stay linear in the spec's length
+    pytest.param("M1(" * 250 + "Z2x" * 40000 + "Z2" + ")" * 250, id="nested-long-product"),
+])
 def test_deep_nesting_exits_1(capsys, spec):
+    start = time.perf_counter()
     code, _, err = run(capsys, "ring", "info", "--ring", spec)
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert "nests more than" in err
+
+
+def test_oversized_hjelmslev_line_exits_1_fast(capsys):
+    # 256^2 messages x 272 columns: over the sweep cap, refused before the
+    # line's points are enumerated
+    start = time.perf_counter()
+    code, _, err = run(capsys, "family", "hjelmslev", "--ring", "CHAIN(16)")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "exceed the enumeration cap" in err
 
 
 def test_missing_gen_file_exits_1(capsys):

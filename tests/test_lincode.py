@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,18 @@ def test_entry_out_of_range():
 def test_message_cap():
     with pytest.raises(fc.SweepCapError):
         fc.build_code(ring("Z4"), [(1,)] * 20, table("Z4"), message_cap=1 << 10)
+    # the cap bounds coordinates built, |R|^k * n: 16 messages x 5 = 80 > 64
+    with pytest.raises(fc.SweepCapError, match="coordinates"):
+        fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3), (0, 1, 1, 1, 2)], table("Z4"),
+                      message_cap=64)
+    assert fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3)], table("Z4"), message_cap=20).size == 4
+    # 256^3 messages x 2 = 33.5M coordinates: rejected before any sweep or
+    # weight table, at the default cap
+    gf256 = ring("GF(256)")
+    start = time.perf_counter()
+    with pytest.raises(fc.SweepCapError):
+        fc.build_code(gf256, [(1, 0), (0, 1), (1, 1)])
+    assert time.perf_counter() - start < 1
 
 
 def test_length_zero_code():

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from math import lcm
 
 import pytest
@@ -314,10 +315,14 @@ def test_cap_checked_before_large_sizes_are_built():
 
 def test_deep_nesting_rejected():
     # matrix nesting and long products both nest the spec tree
+    # (the last, 120 KB, is rejected in linear time, not length x depth)
     for deep in ("M1(" * 2000 + "Z2" + ")" * 2000, "x".join(["Z2"] * 2000),
-                 "M1(" * 200 + "x".join(["Z2"] * 100) + ")" * 200):
+                 "M1(" * 200 + "x".join(["Z2"] * 100) + ")" * 200,
+                 "M1(" * 250 + "Z2x" * 40000 + "Z2" + ")" * 250):
+        start = time.perf_counter()
         with pytest.raises(fc.RingSpecError, match="nests more than 256 levels"):
             fc.parse_ring_spec(deep)
+        assert time.perf_counter() - start < 1
     assert fc.build_ring(fc.parse_ring_spec("M1(" * 200 + "Z2" + ")" * 200)).size == 2
     assert fc.build_ring(fc.parse_ring_spec("M1(" * 255 + "GF(2)" + ")" * 255)).size == 2
 
