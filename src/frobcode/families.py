@@ -117,17 +117,16 @@ def hjelmslev_line(ring: Ring, table: HomWeightTable | None = None) -> LinearCod
     # the q^2 + q columns (q = |rad|) sweep R^2: refuse before enumerating points
     _check_sweep(ring, 2, len(rad) ** 2 + len(rad))
     mul = ring.mul_table
-    vectors = list(product(range(ring.size), repeat=2))
-    outside = [v for v in vectors if not (v[0] in rad and v[1] in rad)]
-    span_of = {
-        v: frozenset((mul[v[0]][r], mul[v[1]][r]) for r in range(ring.size))
-        for v in outside
-    }
-    # one column per point: its lexicographically smallest generator
-    columns = sorted(
-        min(w for w in span if span_of.get(w) == span)
-        for span in set(span_of.values())
-    )
+    # For v outside rad(R^2), vR is free of rank one, so the generators of
+    # the point vR are exactly the v*u for units u.  The first vector of
+    # each orbit met in lexicographic order is its smallest generator.
+    seen: set[tuple[int, int]] = set()
+    columns = []
+    for v in product(range(ring.size), repeat=2):
+        if v in seen or (v[0] in rad and v[1] in rad):
+            continue
+        columns.append(v)
+        seen.update((mul[v[0]][u], mul[v[1]][u]) for u in ring.units)
     rows = [tuple(col[i] for col in columns) for i in range(2)]
     return build_code(ring, rows, table)
 

@@ -7,7 +7,10 @@ N-th cyclotomic polynomial, so every weight comes out as an exact
 rational; no floating point is involved anywhere.
 
 Storage is normalised: tables keep w(x)/gamma, which is independent of
-gamma, and gamma is carried alongside for display.  An independent
+gamma, and gamma is carried alongside for display.  Word weights are
+summed in an exact integer core: each table also holds w(x)/gamma as an
+integer numerator over one common denominator, and a ``Fraction`` is
+built only at the boundary, once per sum.  An independent
 oracle solves the weight axioms directly from the multiplication table,
 as a triangular system over the principal left ideals.
 """
@@ -15,9 +18,10 @@ as a triangular system over the principal left ideals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rings import CharacterError, Ring, socle_local
@@ -119,12 +123,23 @@ class HomWeightTable:
     """Exact homogeneous weight table of a ring.
 
     ``norm_weight[x]`` is w(x)/gamma; multiply by ``gamma`` for the weight
-    itself.  Immutable and safe for shared reads.
+    itself.  ``denominator`` is the lcm L of the ``norm_weight``
+    denominators and ``numerators[x]`` the integer with
+    w(x)/gamma = numerators[x] / L; both are derived once, on construction.
+    Immutable and safe for shared reads.
     """
 
     ring: Ring
     gamma: Fraction
     norm_weight: tuple[Fraction, ...]
+    denominator: int = field(init=False, repr=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        den = lcm(*(w.denominator for w in self.norm_weight))
+        nums = tuple(w.numerator * (den // w.denominator) for w in self.norm_weight)
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerators", nums)
 
     def weight(self, x: int) -> Fraction:
         return self.gamma * self.norm_weight[x]
@@ -187,8 +202,8 @@ def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeight
 
 def extend_weight(table: HomWeightTable, word: Sequence[int]) -> Fraction:
     """Coordinatewise sum of normalised weights over a word."""
-    w = table.norm_weight
-    return sum((w[c] for c in word), Fraction(0))
+    num = table.numerators
+    return Fraction(sum([num[c] for c in word]), table.denominator)
 
 
 # ---------------------------------------------------------------------------

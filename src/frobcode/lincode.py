@@ -5,17 +5,22 @@ matrix.  Codes are kept at desk scale and enumerated exhaustively, so
 every cached parameter (size, support, minimum Hamming weight, minimum
 normalised homogeneous weight) is exact.  Coordinate positions are
 1-based throughout the public interface.
+
+Words are tuples of element indices, and the per-word helpers index the
+ring's operation tables directly.  Weight sums use the table's integer
+numerators over its one denominator and return a ``Fraction`` only at
+the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .homweight import HomWeightTable, extend_weight, hom_weight_table
+from .homweight import HomWeightTable, hom_weight_table
 from .rings import Ring, parse_element, principal_ideal
 
 
@@ -37,17 +42,20 @@ def support(word: Sequence[int]) -> frozenset[int]:
 
 def ell(word: Sequence[int]) -> int:
     """Hamming weight: the number of nonzero coordinates."""
-    return sum(1 for c in word if c != 0)
+    return len(word) - word.count(0)
 
+
+# The per-word kernels index the tuple tables in list comprehensions, which
+# CPython 3.11 runs faster than map over a bound __getitem__.
 
 def word_add(ring: Ring, u: Sequence[int], v: Sequence[int]) -> Word:
     add = ring.add_table
-    return tuple(add[a][b] for a, b in zip(u, v))
+    return tuple([add[a][b] for a, b in zip(u, v)])
 
 
 def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
     row = ring.mul_table[r]
-    return tuple(row[c] for c in word)
+    return tuple([row[c] for c in word])
 
 
 class LinearCode:
@@ -73,16 +81,15 @@ class LinearCode:
         self.word_order = word_order
         self.words = frozenset(word_order)
         self.size = len(self.words)
-        supp: set[int] = set()
-        for w in word_order:
-            supp.update(support(w))
-        self.support = frozenset(supp)
+        self.support = frozenset(
+            i for i, column in enumerate(zip(*word_order), 1) if any(column)
+        )
         self.ell_C = len(self.support)
         nonzero = [w for w in word_order if any(w)]
-        self.min_hamming = min((ell(w) for w in nonzero), default=None)
-        self.min_hom_norm = min(
-            (extend_weight(table, w) for w in nonzero), default=None
-        )
+        self.min_hamming = min(map(ell, nonzero), default=None)
+        num = table.numerators
+        least = min((sum([num[c] for c in w]) for w in nonzero), default=None)
+        self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
         # {word: |Rc|}, filled by the first cyclic_size call; a plain field
         # for the reason given on Ring._facts
         self._cyclic_sizes: dict[Word, int] | None = None
@@ -147,7 +154,7 @@ def build_code(
 
     The message space R^k is swept in lexicographic index order; words are
     deduplicated on first appearance, which fixes ``word_order``.  The
-    sweep builds |R|^k words of n coordinates each, so ``SweepCapError``
+    sweep covers |R|^k messages of n coordinates each, so ``SweepCapError``
     is raised when |R|^k * n exceeds ``message_cap``.
     """
     rows = tuple(tuple(r) for r in rows)
@@ -162,18 +169,15 @@ def build_code(
     _check_sweep(ring, k, n, message_cap)
     if table is None:
         table = hom_weight_table(ring)
-    scaled = [[scale_word(ring, r, row) for r in range(ring.size)] for row in rows]
-    zero = (0,) * n
-    seen: set[Word] = set()
-    order: list[Word] = []
-    for message in product(range(ring.size), repeat=k):
-        word = zero
-        for i, m in enumerate(message):
-            word = word_add(ring, word, scaled[i][m])
-        if word not in seen:
-            seen.add(word)
-            order.append(word)
-    return LinearCode(ring, n, rows, tuple(order), table)
+    # Level i holds the distinct partial sums of the first i rows, in the
+    # order they first appear in the lexicographic sweep: one word_add per
+    # extended prefix.  Dropping a repeated prefix keeps that order, since
+    # its extensions already appeared under its first copy.
+    level: list[Word] = [(0,) * n]
+    for row in rows:
+        scaled = [scale_word(ring, r, row) for r in range(ring.size)]
+        level = list(dict.fromkeys(word_add(ring, w, s) for w in level for s in scaled))
+    return LinearCode(ring, n, rows, tuple(level), table)
 
 
 def code_from_words(
@@ -260,10 +264,11 @@ def coset_average(
     x = tuple(x)
     if len(x) != code.n:
         raise ValueError(f"word length {len(x)} does not match code length {code.n}")
-    total = Fraction(0)
-    for c in code.word_order:
-        total += extend_weight(table, word_add(code.ring, x, c))
-    return total / code.size
+    # shifted[i][y] is the weight numerator of x_i + y
+    num, add = table.numerators, code.ring.add_table
+    shifted = [[num[s] for s in add[a]] for a in x]
+    total = sum(sum(map(getitem, shifted, c)) for c in code.word_order)
+    return Fraction(total, table.denominator * code.size)
 
 
 @dataclass(frozen=True)
@@ -301,11 +306,14 @@ def min_hamming_word_structure(
         raise ValueError("word is not in the code")
     positions = sorted(support(c))
     cyclic_size = len(cyclic_span(ring, c))
+    descending = sorted(ring.units, reverse=True)
     for alpha in range(ring.size):
         row = ring.mul_table[alpha]
+        # {alpha * u: the smallest such unit u}
+        smallest = {row[u]: u for u in descending}
         units_at: dict[int, int] = {}
         for i in positions:
-            unit = next((u for u in sorted(ring.units) if row[u] == c[i - 1]), None)
+            unit = smallest.get(c[i - 1])
             if unit is None:
                 break
             units_at[i] = unit

@@ -154,6 +154,28 @@ def test_hjelmslev_weight_split_by_radical(spec, q):
         assert unit_hits == q * q and heavy_hits == q - 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["Z4", "CHAIN(2)", "Z9", "CHAIN(3)", "CHAIN(4)", "Z25", "CHAIN(5)", "CHAIN(7)",
+     "CHAIN(8)", "CHAIN(9)", "Z49"],
+)
+def test_hjelmslev_columns_match_point_spans(spec):
+    # the points as the distinct spans vR for v outside rad(R^2), each
+    # represented by its smallest generator, in sorted order
+    r = ring(spec)
+    mul = r.mul_table
+    span_of = {
+        v: frozenset((mul[v[0]][x], mul[v[1]][x]) for x in range(r.size))
+        for v in product(range(r.size), repeat=2)
+        if not (v[0] in r.radical and v[1] in r.radical)
+    }
+    columns = sorted(
+        min(w for w in span if span_of.get(w) == span) for span in set(span_of.values())
+    )
+    code = fc.hjelmslev_line(r, table(spec))
+    assert list(zip(*code.generators)) == columns
+
+
 def test_hjelmslev_rejects_non_chain_rings():
     with pytest.raises(fc.NotChainRingError):
         fc.hjelmslev_line(ring("GF(4)"), table("GF(4)"))  # zero radical

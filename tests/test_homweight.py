@@ -1,4 +1,6 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -116,6 +118,37 @@ def test_denominators_divide_unit_group_order(spec):
     for v in t.norm_weight:
         assert v >= 0
         assert len(r.units) % v.denominator == 0
+
+
+def assert_integer_core(t):
+    # numerators over one denominator, the lcm of the norm_weight denominators
+    assert t.denominator == lcm(*(v.denominator for v in t.norm_weight))
+    assert len(t.numerators) == len(t.norm_weight)
+    for num, v in zip(t.numerators, t.norm_weight):
+        assert type(num) is int and Fraction(num, t.denominator) == v
+
+
+@pytest.mark.parametrize("spec", SUITE_SPECS)
+def test_integer_numerators_over_one_denominator(spec):
+    assert_integer_core(table(spec))
+    assert_integer_core(table(spec, F(7, 3)))
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z9", "CHAIN(2)", "CHAIN(3)", "GF(4)", "Z8"])
+def test_integer_numerators_of_local_socle_tables(spec):
+    assert_integer_core(fc.local_socle_weight_table(ring(spec)))
+
+
+def test_integer_numerators_of_a_constructed_table():
+    t = fc.HomWeightTable(
+        ring=ring("Z6"), gamma=F(2),
+        norm_weight=(F(0), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)),
+    )
+    assert t.denominator == 12
+    assert t.numerators == (0, 6, 8, 9, 10, 12)
+    assert_integer_core(t)
+    with pytest.raises(FrozenInstanceError):
+        t.denominator = 1
 
 
 # ---------------------------------------------------------------------------

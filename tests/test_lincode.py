@@ -1,5 +1,7 @@
+import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -51,6 +53,49 @@ def test_zero_generator_row():
 def test_word_order_is_message_order():
     code = z4_code([(1, 2, 3)])
     assert code.word_order == ((0, 0, 0), (1, 2, 3), (2, 0, 2), (3, 2, 1))
+
+
+def product_sweep_order(r, rows):
+    # the message sweep as a product loop: the word of every message is
+    # built from zero, and kept on its first appearance
+    n = len(rows[0])
+    order = {}
+    for message in product(range(r.size), repeat=len(rows)):
+        word = (0,) * n
+        for m, row in zip(message, rows):
+            word = tuple(r.add(a, r.mul(m, b)) for a, b in zip(word, row))
+        order.setdefault(word, None)
+    return tuple(order)
+
+
+def random_rows(rng, r, k, n):
+    # fresh, zero, repeated and dependent rows, so that prefixes collide
+    rows = []
+    for _ in range(k):
+        kind = rng.randrange(4) if rows else 0
+        if kind == 0:
+            rows.append(tuple(rng.randrange(r.size) for _ in range(n)))
+        elif kind == 1:
+            rows.append((0,) * n)
+        elif kind == 2:
+            rows.append(rng.choice(rows))
+        else:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = rng.randrange(r.size), rng.randrange(r.size)
+            rows.append(tuple(r.add(r.mul(a, x), r.mul(b, y)) for x, y in zip(u, v)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec,max_k",
+    [("Z4", 4), ("GF(4)", 4), ("M2(GF(2))", 3), ("Z6", 3), ("Z8", 3), ("Z9", 3)],
+)
+def test_word_order_matches_product_sweep(spec, max_k):
+    r, t = ring(spec), table(spec)
+    rng = random.Random(spec)
+    for _ in range(25):
+        rows = random_rows(rng, r, rng.randint(1, max_k), rng.randint(1, 5))
+        assert fc.build_code(r, rows, t).word_order == product_sweep_order(r, rows)
 
 
 def test_octacode_parameters():
@@ -207,6 +252,33 @@ def test_coset_identity_small_exhaustive(spec):
         code = fc.build_code(r, rows, t)
         for x in product(range(r.size), repeat=2):
             assert fc.coset_average(code, x) == coset_average_formula(code, x)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z6", "Z9", "GF(4)", "M2(GF(2))", "CHAIN(2)"])
+def test_weight_sums_match_fraction_sums(spec):
+    # the integer kernel against plain Fraction sums over norm_weight
+    r, t = ring(spec), table(spec)
+    rng = random.Random(spec)
+
+    def fraction_weight(word):
+        return sum((t.norm_weight[c] for c in word), F(0))
+
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.randrange(r.size) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        code = fc.build_code(r, rows, t)
+        weights = [fraction_weight(w) for w in code.word_order if any(w)]
+        assert code.min_hom_norm == min(weights, default=None)
+        assert code.min_hom_norm is None or isinstance(code.min_hom_norm, Fraction)
+        for w in code.word_order:
+            value = fc.extend_weight(t, w)
+            assert isinstance(value, Fraction) and value == fraction_weight(w)
+        x = tuple(rng.randrange(r.size) for _ in range(n))
+        total = sum(
+            (fraction_weight([r.add(a, b) for a, b in zip(x, c)]) for c in code.word_order), F(0)
+        )
+        average = fc.coset_average(code, x)
+        assert isinstance(average, Fraction) and average == total / code.size
 
 
 def test_coset_average_length_check():
