@@ -10,6 +10,7 @@ errors, 2 when an applicable bound report comes back violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,21 @@ def _ring(text: str) -> Ring:
     return build_ring(parse_ring_spec(text, cap=cap), cap=cap)
 
 
+# Fraction() builds 10**exponent, and str() of a result above 4300 digits
+# fails: a --gamma literal's digit count plus its exponent stays below this.
+_GAMMA_DIGITS = 4000
+
+
 def _gamma(text: str) -> Fraction:
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    size = sum(map(str.isdigit, mantissa))
+    if exponent.isdigit():
+        # a long exponent is over the limit without being converted
+        long = len(exponent) > len(str(_GAMMA_DIGITS))
+        size += _GAMMA_DIGITS + 1 if long else int(exponent)
+    if size > _GAMMA_DIGITS:
+        raise ValueError(f"--gamma literal's digits plus exponent exceed {_GAMMA_DIGITS}")
     try:
         gamma = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -315,6 +330,7 @@ def _add_gamma(p):
     p.add_argument("--gamma", default="1", help="average weight value as p/q (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobcode", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"frobcode {__version__}")

@@ -26,7 +26,7 @@ from .lincode import (
     residual,
     support,
 )
-from .rings import Ring, Zm, build_ring, is_local
+from .rings import Ring, Zm, _capped_power, build_ring, is_local
 
 
 class NotChainRingError(ValueError):
@@ -46,9 +46,9 @@ def simplex(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = ring.size ** m - 1
-    if n > max_length:
-        raise ValueError(f"simplex length {n} exceeds the cap {max_length}")
+    # |R|^m is checked against the cap without being built: m may be huge
+    if _capped_power(ring.size, m, max_length + 1) > max_length + 1:
+        raise ValueError(f"simplex length |R|^m - 1 exceeds the cap of {max_length} columns")
     columns = [col for col in product(range(ring.size), repeat=m) if any(col)]
     rows = [tuple(col[i] for col in columns) for i in range(m)]
     return build_code(ring, rows, table)

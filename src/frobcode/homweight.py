@@ -146,18 +146,21 @@ class HomWeightTable:
 
 
 def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
-    """Weight table from the character formula, verified against the axioms."""
+    """Weight table from the character formula, verified against the axioms.
+
+    One character sum per right unit orbit {xv}: sum_u chi(xvu) = sum_u chi(xu).
+    """
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    mul = ring.mul_table
-    nunits = len(ring.units)
-    norm = []
+    mul, units, chi = ring.mul_table, ring.units, ring.char_exp
+    norm = [None] * ring.size
     for x in range(ring.size):
-        s = CyclotomicSum.from_exponents(
-            ring.add_exponent, (ring.char_exp[mul[x][u]] for u in ring.units)
-        )
-        norm.append(1 - cyclotomic_reduce(s) / nunits)
+        if norm[x] is None:
+            s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])
+            value = 1 - cyclotomic_reduce(s) / len(units)
+            for y in {mul[x][v] for v in units}:
+                norm[y] = value
     table = HomWeightTable(ring=ring, gamma=gamma, norm_weight=tuple(norm))
     if not verify_axioms(table):
         raise CharacterError(f"character formula on {ring.name} violates the weight axioms")

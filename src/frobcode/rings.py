@@ -407,9 +407,9 @@ class Ring:
 
     ``add_table``/``mul_table`` are size x size lookup tables over element
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
-    character at x, taken modulo ``add_exponent``.  The structural facts
-    ``principal_left_ideals`` and ``radical`` are computed on first use and
-    kept on the ring.
+    character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
+    (one walk over the unit orbits) and ``radical`` (read off it) are
+    computed on first use and kept on the ring.
     """
 
     spec: RingSpec
@@ -432,51 +432,46 @@ class Ring:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def is_unit(self, a: int) -> bool:
-        return a in self.units
-
-    def element_name(self, a: int) -> str:
-        return self.element_names[a]
 
     @property
     def principal_left_ideals(self) -> dict[frozenset[int], tuple[int, ...]]:
         """Every nonzero principal left ideal Rx, mapped to its generators.
 
-        Generators are listed in index order.  The generator sets partition
-        the nonzero elements, and Rx is the disjoint union of the generator
-        sets of the principal left ideals inside it.  The mapping is shared
+        One ``principal_ideal`` per unit orbit {ux}, as R(ux) = Rx; orbits
+        generating one ideal share its entry.  Keys come in index order of
+        their smallest generator, generators in index order.  The generator
+        sets partition the nonzero elements, and Rx is the disjoint union of
+        the generator sets of the principal left ideals inside it.  Shared
         by every caller; treat it as read-only.
         """
         if "ideals" not in self._facts:
+            mul, units = self.mul_table, self.units
             ideals: dict[frozenset[int], list[int]] = {}
+            seen: set[int] = set()
             for x in range(1, self.size):
-                ideals.setdefault(principal_ideal(self, x, "left").members, []).append(x)
-            self._facts["ideals"] = {members: tuple(gens) for members, gens in ideals.items()}
+                if x not in seen:
+                    orbit = {mul[u][x] for u in units}
+                    seen |= orbit
+                    ideals.setdefault(principal_ideal(self, x).members, []).extend(orbit)
+            self._facts["ideals"] = {key: tuple(sorted(gens)) for key, gens in ideals.items()}
         return self._facts["ideals"]
 
     @property
     def radical(self) -> frozenset[int]:
-        """Jacobson radical by the quasi-regularity test.
+        """Jacobson radical by the quasi-regularity test, per principal ideal.
 
-        x is in the radical iff 1 - r*x is invertible for every r.  In a
-        finite ring one-sided inverses are two-sided, so unit membership
+        x is in the radical iff 1 - y is invertible for every y in Rx.  In
+        a finite ring one-sided inverses are two-sided, so unit membership
         suffices.
         """
         if "radical" not in self._facts:
-            mul, units = self.mul_table, self.units
-            self._facts["radical"] = frozenset(
-                x for x in range(self.size)
-                if all(self.sub(1, mul[r][x]) in units for r in range(self.size))
-            )
+            one_minus, neg, units = self.add_table[1], self.neg_table, self.units
+            self._facts["radical"] = frozenset([0]).union(*(
+                gens for members, gens in self.principal_left_ideals.items()
+                if all(one_minus[neg[y]] in units for y in members)
+            ))
         return self._facts["radical"]
 
     def __repr__(self) -> str:
@@ -715,9 +710,10 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
     """Materialise the ring denoted by ``spec``.
 
     Raises ``RingSpecError``/``CardinalityCapError`` for invalid or oversized
-    specs and ``CharacterError`` if the built-in character fails its
-    additivity or generating test (an internal consistency failure).  The
-    cap is checked first, so no literal above it is factored.
+    specs, checking the cap first so no literal above it is factored, and
+    ``CharacterError`` if the built-in character fails its additivity or
+    generating test (an internal consistency failure), which computes
+    ``principal_left_ideals``.
     """
     if _capped_cardinality(spec, cap) > cap:
         # not named: the name of a huge field spells out its size
@@ -748,18 +744,18 @@ def is_generating_character(ring: Ring, exps: Sequence[int]) -> bool:
     """True iff the character with exponent map ``exps`` is generating.
 
     The kernel must contain no nonzero one-sided ideal, which is checked on
-    principal ideals: every nonzero Rx and xR must meet the complement of
-    the kernel.  Raises ``CharacterError`` if ``exps`` is not additive.
+    principal ideals: every nonzero Rx (from ``ring.principal_left_ideals``)
+    and xR must leave the kernel.  Raises ``CharacterError`` if not additive.
     """
     n = ring.add_exponent
     for x in range(ring.size):
         for y in range(ring.size):
             if exps[ring.add_table[x][y]] % n != (exps[x] + exps[y]) % n:
                 raise CharacterError("character exponent map is not additive")
+    if not all(any(exps[y] % n for y in members) for members in ring.principal_left_ideals):
+        return False
     mul = ring.mul_table
     for x in range(1, ring.size):
-        if not any(exps[mul[r][x]] % n for r in range(ring.size)):
-            return False
         if not any(exps[mul[x][r]] % n for r in range(ring.size)):
             return False
     return True

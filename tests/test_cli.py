@@ -4,8 +4,9 @@ import time
 import pytest
 
 import frobcode as fc
-from frobcode.cli import main
+from frobcode.cli import build_parser, main
 from helpers import ring, table
+from test_acceptance import GOLDEN, GOLDEN_CASES
 
 
 def run(capsys, *argv):
@@ -252,6 +253,54 @@ def test_oversized_hjelmslev_line_exits_1_fast(capsys):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "exceed the enumeration cap" in err
+
+
+@pytest.mark.parametrize("m", ["99999999999999", "10000000", "4000", "7"])
+def test_oversized_simplex_exits_1_fast(capsys, m):
+    # |R|^m is compared with the column cap without being built or printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "simplex", "--ring", "Z4", "-m", m)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "exceeds the cap of 4096 columns" in err
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("gamma", ["1e-999999999", "1e-99999", "1e4001", "9" * 4001, "1/" + "7" * 4001])
+def test_oversized_gamma_exits_1_fast(capsys, gamma):
+    # rejected on the literal's digits and exponent, before Fraction() runs
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weight", "--ring", "Z4", "--gamma", gamma)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "--gamma" in err
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("gamma,weight_of_2", [("2/3", "4/3"), ("0.5", "1"), ("1e-200", "1/5" + "0" * 199)])
+def test_gamma_literals_within_the_limit(capsys, gamma, weight_of_2):
+    code, out, _ = run(capsys, "weight", "--ring", "Z4", "--gamma", gamma)
+    assert code == 0
+    assert out.splitlines()[2] == f"2: {weight_of_2}"
+
+
+def test_parser_built_once_gives_identical_runs(capsys):
+    # build_parser is cached per process: a second round of the golden
+    # cases, after a usage error, must print the same bytes as the first
+    assert build_parser() is build_parser()
+    rounds = []
+    for _ in range(2):
+        outputs = []
+        for _fixture, argv in GOLDEN_CASES:
+            argv = [a if not a.endswith(".gen") else str(GOLDEN / a) for a in argv]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        rounds.append(outputs)
+        code, out, err = run(capsys, "bounds", "check", "--ring", "Z4")  # --gen missing
+        assert (code, out) == (1, "")
+        assert "--gen" in err
+    assert rounds[0] == rounds[1]
+    assert rounds[0] == [(GOLDEN / fixture).read_text(encoding="utf-8") for fixture, _ in GOLDEN_CASES]
 
 
 def test_missing_gen_file_exits_1(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,22 @@ def test_simplex_validation():
         fc.simplex(ring("Z4"), 0)
     with pytest.raises(ValueError):
         fc.simplex(ring("Z4"), 4, max_length=100)
+
+
+@pytest.mark.parametrize("m", [10**14, 10**7, 4000, 7])
+def test_simplex_length_cap_fails_fast(m):
+    # |R|^m is checked without being built: no huge integer, no hang
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap of 4096 columns"):
+        fc.simplex(ring("Z4"), m)
+    assert time.perf_counter() - start < 1
+
+
+def test_simplex_length_cap_is_inclusive():
+    # 4^2 - 1 = 15 columns
+    assert fc.simplex(ring("Z4"), 2, max_length=15).n == 15
+    with pytest.raises(ValueError, match="cap of 14 columns"):
+        fc.simplex(ring("Z4"), 2, max_length=14)
 
 
 def test_simplex_column_order_is_lexicographic():

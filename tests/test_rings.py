@@ -217,7 +217,8 @@ def test_minimal_ideals_field_is_itself():
     assert ideals[0].members == set(range(r.size))
 
 
-@pytest.mark.parametrize("spec", SUITE_SPECS + ["Z4xGF(4)", "Z2xM2(GF(2))"])
+@pytest.mark.parametrize("spec", SUITE_SPECS + ["Z4xGF(4)", "Z2xM2(GF(2))", "M3(GF(2))", "Z8xZ64",
+                                  "Z512", "GF(512)"])
 def test_minimal_ideals_match_definition(spec):
     r = ring(spec)
     ideal_of = [fc.principal_ideal(r, x).members for x in range(r.size)]
