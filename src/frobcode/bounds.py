@@ -140,22 +140,29 @@ def averaging_bound(code: LinearCode) -> BoundReport:
                    {"M": code.size, "support_size": code.ell_C})
 
 
+def _refined_report(code: LinearCode, c: tuple | None, cyclic: int | None) -> BoundReport:
+    """The plotkin-refined report for word c with |Rc| = ``cyclic``.
+
+    Both are None when no word qualifies; the report is then inapplicable.
+    """
+    d = code.min_hom_norm
+    lc = None if c is None else ell(c)
+    pre = [
+        ("code has a nonzero word", d is not None),
+        ("d/gamma > n", d is not None and d > code.n),
+        ("ell(c) < d/gamma", d is not None and lc is not None and lc < d),
+    ]
+    return _report("plotkin-refined", pre, lambda: _plotkin(code, cyclic, lc),
+                   {"word": c, "hamming_weight": lc, "cyclic_size": cyclic})
+
+
 def plotkin_refined(code: LinearCode, c: Sequence[int]) -> BoundReport:
     """Plotkin-type bound scaled by the cyclic submodule of a chosen word:
     M <= |Rc| * (d/gamma - ell(c)) / (d/gamma - n)."""
     c = tuple(c)
     if c not in code.words:
         raise ValueError("word is not in the code")
-    d = code.min_hom_norm
-    lc = ell(c)
-    pre = [
-        ("code has a nonzero word", d is not None),
-        ("d/gamma > n", d is not None and d > code.n),
-        ("ell(c) < d/gamma", d is not None and lc < d),
-    ]
-    cyclic = len(cyclic_span(code.ring, c))
-    return _report("plotkin-refined", pre, lambda: _plotkin(code, cyclic, lc),
-                   {"word": c, "hamming_weight": lc, "cyclic_size": cyclic})
+    return _refined_report(code, c, len(cyclic_span(code.ring, c)))
 
 
 def best_plotkin_refined(code: LinearCode) -> BoundReport:
@@ -169,17 +176,11 @@ def best_plotkin_refined(code: LinearCode) -> BoundReport:
     """
     d = code.min_hom_norm
     if d is None or not d > code.n:
-        pre = [
-            ("code has a nonzero word", d is not None),
-            ("d/gamma > n", d is not None and d > code.n),
-            ("ell(c) < d/gamma", False),
-        ]
-        return _report("plotkin-refined", pre, None,
-                       {"word": None, "hamming_weight": None, "cyclic_size": None})
+        return _refined_report(code, None, None)
     # the zero word always qualifies when d > n >= 0
     best = min((w for w in code.word_order if ell(w) < d),
                key=lambda w: code.cyclic_size(w) * (d - ell(w)))
-    return plotkin_refined(code, best)
+    return _refined_report(code, best, code.cyclic_size(best))
 
 
 def plotkin_minham(code: LinearCode) -> BoundReport:

@@ -17,8 +17,9 @@ of the multiplication table.
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
 character is chosen per constructor (trace-based) and checked at build
-time to be generating, i.e. its kernel contains no nonzero one-sided
-ideal.
+time to be additive and generating, i.e. its kernel contains no nonzero
+left ideal; for a finite ring that also rules out a nonzero right ideal
+(J. A. Wood, Amer. J. Math. 121, 1999).
 """
 
 from __future__ import annotations
@@ -711,8 +712,10 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
 
     Raises ``RingSpecError``/``CardinalityCapError`` for invalid or oversized
     specs, checking the cap first so no literal above it is factored, and
-    ``CharacterError`` if the built-in character fails its additivity or
-    generating test (an internal consistency failure), which computes
+    ``CharacterError`` if the built-in character is not additive on a
+    generating set of (R, +) or has a nonzero principal left ideal in its
+    kernel (an internal consistency failure; see
+    ``is_generating_character``).  The test computes
     ``principal_left_ideals``.
     """
     if _capped_cardinality(spec, cap) > cap:
@@ -743,22 +746,34 @@ def principal_ideal(ring: Ring, x: int, side: str = "left") -> Ideal:
 def is_generating_character(ring: Ring, exps: Sequence[int]) -> bool:
     """True iff the character with exponent map ``exps`` is generating.
 
-    The kernel must contain no nonzero one-sided ideal, which is checked on
-    principal ideals: every nonzero Rx (from ``ring.principal_left_ideals``)
-    and xR must leave the kernel.  Raises ``CharacterError`` if not additive.
+    Additivity is checked on a generating set of (R, +), not on all pairs.
+    The elements are walked in index order; one outside the span H of the
+    generators so far becomes a generator g, and H grows to H + <g> one
+    coset H + kg at a time.  If chi(x + g) = chi(x) + chi(g) for every x
+    and every generator g, then x = 0 gives chi(0) = 0, and induction on
+    the number of generators summing to y gives chi(x + y) = chi(x) +
+    chi(y) for every y.  Each generator at least doubles the span, so the
+    check is O(|R| log |R|).  Raises ``CharacterError`` if the map is not
+    additive.
+
+    Generating means that the kernel contains no nonzero left ideal, so
+    that every nonzero principal left ideal Rx (from
+    ``ring.principal_left_ideals``) leaves the kernel.  For a finite ring a
+    character is left generating exactly when it is right generating
+    (J. A. Wood, "Duality for modules over finite rings and applications to
+    coding theory", Amer. J. Math. 121, 1999), so the right ideals xR need
+    no test of their own.
     """
-    n = ring.add_exponent
-    for x in range(ring.size):
-        for y in range(ring.size):
-            if exps[ring.add_table[x][y]] % n != (exps[x] + exps[y]) % n:
+    n, add = ring.add_exponent, ring.add_table
+    span = {0}
+    for g in range(ring.size):
+        if g not in span:
+            if any((exps[row[g]] - exps[x] - exps[g]) % n for x, row in enumerate(add)):
                 raise CharacterError("character exponent map is not additive")
-    if not all(any(exps[y] % n for y in members) for members in ring.principal_left_ideals):
-        return False
-    mul = ring.mul_table
-    for x in range(1, ring.size):
-        if not any(exps[mul[x][r]] % n for r in range(ring.size)):
-            return False
-    return True
+            coset = span
+            while (coset := {add[h][g] for h in coset}).isdisjoint(span):
+                span |= coset
+    return all(any(exps[y] % n for y in members) for members in ring.principal_left_ideals)
 
 
 def minimal_left_ideals(ring: Ring) -> tuple[Ideal, ...]:

@@ -1,11 +1,14 @@
 """The per-ring facts against their per-element definitions.
 
 ``Ring.principal_left_ideals`` walks one unit orbit at a time, the radical
-and the left half of the generating test read its grouping, and
-``hom_weight_table`` takes one character sum per right unit orbit.  The
-references here are the direct loops over every element: Rx for each x,
-the quasi-regularity scan, the two-sided scan over xR and Rx, and one
-cyclotomic reduction per element.
+and the generating test read its grouping, and ``hom_weight_table`` takes
+one character sum per right unit orbit.  The references here are the
+direct loops over every element: Rx for each x, the quasi-regularity
+scan, and one cyclotomic reduction per element.  The generating test
+checks left ideals only; its reference scans both Rx and xR, so it also
+checks that a character is left generating exactly when it is right
+generating.  The additivity check, run on a generating set of (R, +),
+must reject maps changed at one element or on one coset of a subgroup.
 """
 
 import pytest
@@ -15,7 +18,8 @@ import frobcode as fc
 from frobcode.homweight import CyclotomicSum
 from helpers import SUITE_SPECS, ring
 
-CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)"]
+CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
+             "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z2)xZ2"]
 
 
 def grouping_reference(r):
@@ -74,6 +78,67 @@ def check_facts(r, weights=True):
 def test_facts_match_per_element_definitions(spec):
     # the dense per-element reduction mod x^256 + 1 takes about a second on Z512
     check_facts(ring(spec), weights=spec != "Z512")
+
+
+def changed_on_cosets(r, spread):
+    """The built-in exponent map plus 1 on one coset x + H, x not in H.
+
+    A check on generators that all lie in H passes such a map, so these
+    maps pin that the generators span (R, +).  H runs over the maximal
+    subgroups of (R, +), the kernels of y -> chi(ya) of prime index for a
+    in ``spread``, and over the intersections of two of them.  The map is
+    additive only when H has index 2 and the exponent is 2, and is skipped
+    there: in exponent 2 a check on generators that span a maximal
+    subgroup is still complete, and smaller spans lie in an intersection.
+    """
+    mul, n = r.mul_table, r.add_exponent
+    kernels = {frozenset(y for y in range(r.size) if r.char_exp[mul[y][a]] % n == 0)
+               for a in spread}
+    maximal = [h for h in kernels if _is_prime(r.size // len(h))]
+    for h in {h & k for h in maximal for k in maximal}:
+        if not (len(h) * 2 == r.size and n == 2):
+            x = min(set(range(r.size)) - h)
+            coset = {r.add_table[x][y] for y in h}
+            yield [(e + (y in coset)) % n for y, e in enumerate(r.char_exp)]
+
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, m))
+
+
+# on Z2 the map changed at 1 is [0, 0], which is additive
+@pytest.mark.parametrize("spec", [s for s in SUITE_SPECS if ring(s).size > 2] + CAP_SPECS)
+def test_character_changed_at_one_element_is_not_additive(spec):
+    r = ring(spec)
+    xs = range(1, r.size) if r.size <= 16 else sorted({2, 3, r.size // 3, r.size // 2, r.size - 1})
+    for x in xs:
+        exps = [(e + (y == x)) % r.add_exponent for y, e in enumerate(r.char_exp)]
+        with pytest.raises(fc.CharacterError, match="not additive"):
+            fc.is_generating_character(r, exps)
+
+
+# Z2xZ4: exponent 4 and a maximal subgroup of index 2
+@pytest.mark.parametrize("spec", SUITE_SPECS + CAP_SPECS + ["Z2xZ4"])
+def test_character_changed_on_a_coset_is_not_additive(spec):
+    r = ring(spec)
+    spread = range(r.size) if r.size <= 16 else sorted({0, 1, 2, 3, r.size // 2, r.size - 1})
+    cases = 0
+    for exps in changed_on_cosets(r, spread):
+        cases += 1
+        with pytest.raises(fc.CharacterError, match="not additive"):
+            fc.is_generating_character(r, exps)
+    assert cases > 0 or r.size == 2
+
+
+@pytest.mark.parametrize("spec, position", [("M2(GF(2))", 1), ("Z2xZ2", 0)],
+                         ids=["X11 on M2(GF(2))", "a on Z2xZ2"])
+def test_additive_map_that_is_not_generating(spec, position):
+    # X -> X11 vanishes on the left ideal of matrices with zero first column,
+    # (a, b) -> a on the ideal 0 x Z2
+    r = ring(spec)
+    exps = [int(name[position]) for name in r.element_names]
+    assert generating_reference(r, exps) is False
+    assert fc.is_generating_character(r, exps) is False
 
 
 # ---------------------------------------------------------------------------
