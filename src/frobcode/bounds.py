@@ -114,8 +114,8 @@ def _singleton(code: LinearCode, base: int, divisor: int) -> tuple[int, int]:
 def max_cyclic_size(code: LinearCode, incomplete_support_only: bool = False) -> int:
     """Largest size of a cyclic submodule Rc over codewords c.
 
-    Read from the code's cyclic-size table (``LinearCode.cyclic_size``),
-    which the first call fills.  With ``incomplete_support_only`` the
+    Each |Rc| comes from ``LinearCode.cyclic_size``, which reads it off the
+    set of values of c.  With ``incomplete_support_only`` the
     maximum runs over words whose support misses at least one coordinate.
     The zero word counts among them (with R0 of size 1), so the result is
     1 when no nonzero word has incomplete support.
@@ -168,8 +168,8 @@ def plotkin_refined(code: LinearCode, c: Sequence[int]) -> BoundReport:
 def best_plotkin_refined(code: LinearCode) -> BoundReport:
     """Tightest per-word instance: the qualifying word minimising the bound.
 
-    Words are ranked by |Rc| * (d/gamma - ell(c)), read from the code's
-    cyclic-size table (d/gamma - n > 0 is common to all of them), and
+    Words are ranked by |Rc| * (d/gamma - ell(c)), with |Rc| from
+    ``LinearCode.cyclic_size`` (d/gamma - n > 0 is common to all of them), and
     only the winner gets a report.  Ties go to the earliest word in the
     code's deterministic order.  When the bound is inapplicable the
     report carries no chosen word.

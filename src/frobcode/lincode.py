@@ -90,34 +90,26 @@ class LinearCode:
         num = table.numerators
         least = min((sum([num[c] for c in w]) for w in nonzero), default=None)
         self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
-        # {word: |Rc|}, filled by the first cyclic_size call; a plain field
+        # {value set of a word: |Rc|}, filled by cyclic_size; a plain field
         # for the reason given on Ring._facts
-        self._cyclic_sizes: dict[Word, int] | None = None
+        self._cyclic_sizes: dict[frozenset[int], int] = {}
 
     def cyclic_size(self, c: Sequence[int]) -> int:
         """|Rc|, the size of the cyclic submodule of the codeword ``c``.
 
-        The first call fills a table for every codeword, and every later
-        call reads it.  One ``cyclic_span`` serves a whole unit orbit,
-        since R(uc) = Rc for every unit u.  A caller that needs one word
-        only should call ``cyclic_span`` itself rather than fill the table.
+        rc = r'c exactly when rx = r'x for every value x of c, so |Rc| =
+        |RV| for the set V of values of c.  R(uV) = RV for every unit u, so
+        one ``cyclic_span`` over V serves its whole unit orbit of value sets.
         """
-        if self._cyclic_sizes is None:
+        if tuple(c) not in self.words:
+            raise ValueError("word is not in the code")
+        values = frozenset(c)
+        if values not in self._cyclic_sizes:
             ring = self.ring
-            sizes: dict[Word, int] = {}
-            # unit multiples not yet met in word_order; popping them keys the
-            # table by the code's own word objects, not by fresh copies
-            pending: dict[Word, int] = {}
-            for w in self.word_order:
-                if w not in pending:
-                    size = len(cyclic_span(ring, w))
-                    pending.update((scale_word(ring, u, w), size) for u in ring.units)
-                sizes[w] = pending.pop(w)
-            self._cyclic_sizes = sizes
-        try:
-            return self._cyclic_sizes[tuple(c)]
-        except KeyError:
-            raise ValueError("word is not in the code") from None
+            size = len(cyclic_span(ring, values))
+            self._cyclic_sizes.update(
+                (frozenset(scale_word(ring, u, values)), size) for u in ring.units)
+        return self._cyclic_sizes[values]
 
     def __contains__(self, word: Sequence[int]) -> bool:
         return tuple(word) in self.words
@@ -255,20 +247,16 @@ def residual(code: LinearCode, s) -> LinearCode:
     return code_from_words(code.ring, len(cols), projected, code.table)
 
 
-def coset_average(
-    code: LinearCode, x: Sequence[int], table: HomWeightTable | None = None
-) -> Fraction:
+def coset_average(code: LinearCode, x: Sequence[int]) -> Fraction:
     """Average normalised weight over the coset x + C."""
-    if table is None:
-        table = code.table
     x = tuple(x)
     if len(x) != code.n:
         raise ValueError(f"word length {len(x)} does not match code length {code.n}")
     # shifted[i][y] is the weight numerator of x_i + y
-    num, add = table.numerators, code.ring.add_table
+    num, add = code.table.numerators, code.ring.add_table
     shifted = [[num[s] for s in add[a]] for a in x]
     total = sum(sum(map(getitem, shifted, c)) for c in code.word_order)
-    return Fraction(total, table.denominator * code.size)
+    return Fraction(total, code.table.denominator * code.size)
 
 
 @dataclass(frozen=True)
@@ -302,10 +290,8 @@ def min_hamming_word_structure(
     """
     ring = code.ring
     c = tuple(c)
-    if c not in code.words:
-        raise ValueError("word is not in the code")
+    cyclic_size = code.cyclic_size(c)
     positions = sorted(support(c))
-    cyclic_size = len(cyclic_span(ring, c))
     descending = sorted(ring.units, reverse=True)
     for alpha in range(ring.size):
         row = ring.mul_table[alpha]
@@ -329,8 +315,12 @@ def min_hamming_word_structure(
 # ---------------------------------------------------------------------------
 
 def read_generator_rows(path: str | Path, ring: Ring) -> tuple[Word, ...]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     rows: list[Word] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -256,7 +256,7 @@ def _check_lemmas(code):
         return
     n = code.n
     spans = {w: fc.cyclic_span(r, w) for w in code.word_order}
-    # the code's cyclic-size table, filled one span per unit orbit
+    # the code's cyclic sizes, read off each word's set of values
     assert all(code.cyclic_size(w) == len(spans[w]) for w in code.word_order)
 
     # removal of a short-support word leaves exactly its cyclic submodule,

@@ -286,7 +286,7 @@ def test_max_cyclic_size_variants():
 
 
 # ---------------------------------------------------------------------------
-# The cyclic-size table and the two selections that read it, against the
+# The cyclic-size rule and the two selections that read it, against the
 # per-word scans they replaced, on non-commutative and non-local rings
 # ---------------------------------------------------------------------------
 
@@ -329,7 +329,7 @@ def _random_codes(spec, count, rng):
 def test_cyclic_size_table_and_selections_match_per_word_scans():
     rng = random.Random(7)
     refined = stages = 0
-    for spec in ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9"):
+    for spec in ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9", "Z2xZ4", "M2(Z2)xZ2"):
         for code in _random_codes(spec, 60, rng):
             for w in code.word_order:
                 assert code.cyclic_size(w) == len(fc.cyclic_span(code.ring, w))
@@ -345,3 +345,19 @@ def test_cyclic_size_table_and_selections_match_per_word_scans():
     assert refined >= 30 and stages >= 500
     with pytest.raises(ValueError, match="not in the code"):
         simplex_z4().cyclic_size((1, 1, 1))
+
+
+def test_cyclic_size_on_every_word_of_a_non_commutative_simplex_code():
+    code = fc.simplex(ring("M2(GF(2))"), 2, table("M2(GF(2))"))
+    assert code.n == 255
+    for w in code.word_order:
+        assert code.cyclic_size(w) == len(fc.cyclic_span(code.ring, w))
+
+
+def test_cyclic_size_checks_membership_before_the_memo():
+    code = fc.octacode()
+    fc.check_all(code)
+    word = (0, 1, 2, 3, 0, 0, 0, 0)  # Lee weight 4, below the Octacode's 6
+    assert frozenset(word) in {frozenset(w) for w in code.word_order}
+    with pytest.raises(ValueError, match="not in the code"):
+        code.cyclic_size(word)

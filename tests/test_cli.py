@@ -309,6 +309,14 @@ def test_missing_gen_file_exits_1(capsys):
     assert "error" in err
 
 
+def test_non_utf8_gen_file_exits_1_with_its_path(tmp_path, capsys):
+    gen = tmp_path / "binary.gen"
+    gen.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "code", "analyze", "--ring", "Z4", "--gen", str(gen))
+    assert (code, out) == (1, "")
+    assert str(gen) in err and "not UTF-8" in err
+
+
 def test_usage_error_exits_1(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "ring", "info")[0] == 1  # missing --ring

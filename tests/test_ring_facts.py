@@ -9,6 +9,8 @@ checks left ideals only; its reference scans both Rx and xR, so it also
 checks that a character is left generating exactly when it is right
 generating.  The additivity check, run on a generating set of (R, +),
 must reject maps changed at one element or on one coset of a subgroup.
+On drawn rings and words, |Rc| depends only on the set of values of c,
+up to units: the rule ``LinearCode.cyclic_size`` reads.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
 from frobcode.homweight import CyclotomicSum
+from frobcode.lincode import scale_word
 from helpers import SUITE_SPECS, ring
 
 CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
@@ -182,3 +185,15 @@ def test_drawn_ring_facts_match_per_element_definitions(drawn):
     r = fc.build_ring(fc.parse_ring_spec(spec))
     assert r.size == size
     check_facts(r)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(ring_specs(), st.data())
+def test_cyclic_size_is_read_from_the_value_set_up_to_units(drawn, data):
+    """|Rc| = |RV| for the value set V of c, and |R(uV)| = |RV| for units u."""
+    r = fc.build_ring(fc.parse_ring_spec(drawn[0]))
+    w = data.draw(st.lists(st.integers(0, r.size - 1), min_size=1, max_size=8))
+    size = len(fc.cyclic_span(r, w))
+    assert len(fc.cyclic_span(r, sorted(set(w)))) == size
+    for u in r.units:
+        assert len(fc.cyclic_span(r, scale_word(r, u, set(w)))) == size
