@@ -4,15 +4,20 @@ The weight of an element x is gamma * (1 - avg over units u of chi(xu)),
 where chi is the ring's distinguished generating character.  Character
 sums are multisets of N-th roots of unity and are reduced modulo the
 N-th cyclotomic polynomial, so every weight comes out as an exact
-rational; no floating point is involved anywhere.
+rational; no floating point is involved anywhere.  One integer division
+by a monic polynomial builds the cyclotomic polynomials and reduces the
+sums.
 
 Storage is normalised: tables keep w(x)/gamma, which is independent of
-gamma, and gamma is carried alongside for display.  Word weights are
-summed in an exact integer core: each table also holds w(x)/gamma as an
-integer numerator over one common denominator, and a ``Fraction`` is
-built only at the boundary, once per sum.  An independent
-oracle solves the weight axioms directly from the multiplication table,
-as a triangular system over the principal left ideals.
+gamma, and gamma is carried alongside for display; the table coerces
+and checks gamma itself.  Word weights are summed in an exact integer
+core: each table also holds w(x)/gamma as an integer numerator over one
+common denominator, and a ``Fraction`` is built only at the boundary,
+once per sum.  An independent oracle solves the weight axioms directly
+from the multiplication table, as a triangular system over the
+principal left ideals.  The solution is unique, so a table satisfies
+the axioms exactly when it equals the oracle's, and every character
+table is checked that way.
 """
 
 from __future__ import annotations
@@ -47,25 +52,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _exact_div(poly, cyclotomic_polynomial(d))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
-def _exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # den is monic; remainder must vanish
-    r = list(num)
-    q = [0] * (len(r) - len(den) + 1)
-    while len(r) >= len(den) and any(r):
-        coef = r[-1]
-        shift = len(r) - len(den)
-        q[shift] = coef
-        for i, cd in enumerate(den):
-            r[shift + i] -= coef * cd
-        while r and r[-1] == 0:
-            r.pop()
-    if any(r):
-        raise ArithmeticError("polynomial division left a remainder")
-    return q
+def _divmod_monic(a: Sequence[int], monic: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (constant term first)."""
+    r, dm = list(a), len(monic) - 1
+    q = [0] * max(len(r) - dm, 0)
+    # cyclotomic polynomials are sparse: step only over the nonzero terms
+    terms = [(i, c) for i, c in enumerate(monic[:dm]) if c]
+    for shift in range(len(q) - 1, -1, -1):
+        coef = q[shift] = r[shift + dm]
+        if coef:
+            for i, c in terms:
+                r[shift + i] -= coef * c
+    return q, r[:dm]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +91,7 @@ def cyclotomic_residue(s: CyclotomicSum) -> tuple[int, ...]:
     dense = [0] * s.order
     for e, c in s.counts.items():
         dense[e % s.order] += c
-    phi = cyclotomic_polynomial(s.order)
-    r = dense
-    dm = len(phi) - 1
-    while len(r) > dm:
-        coef = r[-1]
-        if coef:
-            shift = len(r) - 1 - dm
-            for i, cp in enumerate(phi):
-                r[shift + i] -= coef * cp
-        r.pop()
+    r = _divmod_monic(dense, cyclotomic_polynomial(s.order))[1]
     while r and r[-1] == 0:
         r.pop()
     return tuple(r)
@@ -126,7 +121,9 @@ class HomWeightTable:
     itself.  ``denominator`` is the lcm L of the ``norm_weight``
     denominators and ``numerators[x]`` the integer with
     w(x)/gamma = numerators[x] / L; both are derived once, on construction.
-    Immutable and safe for shared reads.
+    ``gamma`` is coerced to a ``Fraction`` and checked to be positive here,
+    the one place every table passes through.  Immutable and safe for
+    shared reads.
     """
 
     ring: Ring
@@ -136,8 +133,12 @@ class HomWeightTable:
     numerators: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        gamma = Fraction(self.gamma)
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
         den = lcm(*(w.denominator for w in self.norm_weight))
         nums = tuple(w.numerator * (den // w.denominator) for w in self.norm_weight)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "numerators", nums)
 
@@ -146,13 +147,10 @@ class HomWeightTable:
 
 
 def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
-    """Weight table from the character formula, verified against the axioms.
+    """Weight table from the character formula, checked by ``verify_axioms``.
 
     One character sum per right unit orbit {xv}: sum_u chi(xvu) = sum_u chi(xu).
     """
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     mul, units, chi = ring.mul_table, ring.units, ring.char_exp
     norm = [None] * ring.size
     for x in range(ring.size):
@@ -168,20 +166,23 @@ def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
 
 
 def verify_axioms(table: HomWeightTable) -> bool:
-    """Exhaustively check the two homogeneity axioms.
+    """Check the two homogeneity axioms by comparing with the oracle.
 
-    Elements generating the same principal left ideal must share a weight,
-    and the normalised weight must sum to |Rx| over every nonzero Rx.
+    The axioms: w(0) = 0, elements generating the same principal left
+    ideal share a weight, and the normalised weight sums to |Rx| over
+    every nonzero Rx.  ``solve_weight_axioms`` returns their one solution:
+
+    * Existence: its output satisfies both axioms.  Each y in Rx that does
+      not generate Rx generates a smaller principal ideal, which was solved
+      earlier, so the sum over Rx is the sum over gen(Rx) plus the rest it
+      was solved from.  0 generates no nonzero ideal, so w(0) = 0.
+    * Uniqueness: the system is triangular, and its pivots |gen(Rx)| are
+      nonzero.
+
+    So a table satisfies the axioms exactly when it equals the solution.
+    ``solve_weight_axioms`` must not call this function.
     """
-    ring, w = table.ring, table.norm_weight
-    if w[0] != 0:
-        return False
-    for members, gens in ring.principal_left_ideals.items():
-        if any(w[x] != w[gens[0]] for x in gens[1:]):
-            return False
-        if sum(w[y] for y in members) != len(members):
-            return False
-    return True
+    return table.norm_weight == solve_weight_axioms(table.ring)
 
 
 def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
@@ -190,9 +191,6 @@ def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeight
     Nonzero socle elements weigh q/(q-1) (normalised) for q the residue
     field size, everything else nonzero weighs 1.
     """
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     soc = socle_local(ring)  # raises NotLocalError on non-local input
     q = ring.size // len(ring.radical)
     heavy = Fraction(q, q - 1)

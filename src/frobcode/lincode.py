@@ -74,6 +74,9 @@ class LinearCode:
         word_order: tuple[Word, ...],
         table: HomWeightTable,
     ):
+        # specs, not objects: two builds of one spec give identical tables
+        if table.ring.spec != ring.spec:
+            raise ValueError(f"weight table of {table.ring.name} given for a code over {ring.name}")
         self.ring = ring
         self.table = table
         self.n = n

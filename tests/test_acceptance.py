@@ -24,7 +24,7 @@ F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _pass(number: int, started: float, budget: float, description: str) -> None:
+def _pass(number: int | str, started: float, budget: float, description: str) -> None:
     elapsed = time.monotonic() - started
     print(f"ACCEPTANCE {number}: PASS ({elapsed:.2f}s / budget {budget:.0f}s) - {description}")
     assert elapsed < budget
@@ -382,6 +382,55 @@ def test_criterion_7_soundness_sweep():
         f"six theorem bounds and all structure lemmas hold on {codes} codes; "
         f"singleton-weak: {applicable} applicable, {weak['proven']} in proven cases "
         f"(all hold), {weak['counterexample']} counterexamples",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 7b. Theorem soundness beyond commutative local rings
+# ---------------------------------------------------------------------------
+
+BEYOND_LOCAL_SPECS = ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9", "Z2xZ4", "M2(Z2)xZ2")
+
+
+def _random_row_codes(r, t, count, rng):
+    """Codes of 1 or 2 random rows, length 1-4 (1-3 when |R| > 9)."""
+    max_n = 4 if r.size <= 9 else 3
+    for _ in range(count):
+        k, n = rng.randint(1, 2), rng.randint(1, max_n)
+        rows = [tuple(rng.randrange(r.size) for _ in range(n)) for _ in range(k)]
+        yield fc.build_code(r, rows, t)
+
+
+def test_criterion_7b_soundness_beyond_commutative_local_rings():
+    # criterion 7's checks on non-commutative (M2(GF(2)), M2(Z2)xZ2) and
+    # non-local (Z6, Z2xZ3, Z2xZ4, M2(Z2)xZ2) rings, and on chain rings of
+    # length 3 and 2 (Z8, Z9)
+    started = time.monotonic()
+    rng = random.Random(2009)
+    codes = 0
+    violations = []
+    counterexamples = {}
+    for spec in BEYOND_LOCAL_SPECS:
+        r, t = ring(spec), table(spec)
+        weak = Counter()
+        for code in _random_row_codes(r, t, 40, rng):
+            codes += 1
+            by_name = {rep.bound: rep for rep in fc.check_all(code)}
+            violations += [
+                f"{spec} rows={code.generators} {rep.bound}: {rep.lhs} vs {rep.rhs}"
+                for rep in by_name.values()
+                if rep.bound != "singleton-weak" and rep.applicable and not rep.satisfied
+            ]
+            weak[_check_singleton_weak(code, by_name)] += 1
+            _check_lemmas(code)
+        counterexamples[spec] = weak["counterexample"]
+    assert not violations, "\n".join(violations)
+    _pass(
+        "7b",
+        started,
+        60.0,
+        f"six theorem bounds and all structure lemmas hold on {codes} codes over "
+        f"{len(BEYOND_LOCAL_SPECS)} rings; singleton-weak counterexamples: {counterexamples}",
     )
 
 

@@ -1,6 +1,6 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -34,17 +34,20 @@ def test_cyclotomic_polynomials_match_known_table():
 
 
 def test_cyclotomic_product_recovers_x_n_minus_1():
-    for n in (1, 2, 6, 12):
+    # 256 and 512: Phi is x^128 + 1 and x^256 + 1, the sparse divisors
+    for n in [*range(1, 201), 256, 360, 512]:
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
                 phi = fc.cyclotomic_polynomial(d)
+                assert phi[-1] == 1
                 out = [0] * (len(prod) + len(phi) - 1)
                 for i, a in enumerate(prod):
-                    for j, b in enumerate(phi):
-                        out[i + j] += a * b
+                    if a:
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
                 prod = out
-        assert prod == [-1] + [0] * (n - 1) + [1]
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_reduce_i_plus_i_cubed_is_zero():
@@ -69,6 +72,42 @@ def test_residue_of_primitive_root():
     assert fc.cyclotomic_residue(CyclotomicSum(4, {1: 1})) == (0, 1)
     # zeta_3 + zeta_3^2 = -1
     assert fc.cyclotomic_residue(CyclotomicSum(3, {1: 1, 2: 1})) == (-1,)
+    # degree phi(N) >= 2, so zeta_N stays x
+    for n in (360, 512):
+        assert fc.cyclotomic_residue(CyclotomicSum(n, {1: 1})) == (0, 1)
+
+
+def _totient(n):
+    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+
+
+def _mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _ramanujan_sum(n, k):
+    g = gcd(n, k)
+    return _mobius(n // g) * _totient(n) // _totient(n // g)
+
+
+def test_reduce_ramanujan_sums():
+    # c_n(k) = sum of zeta_n^(jk) over the j coprime to n
+    #        = mu(n/g) phi(n) / phi(n/g), g = gcd(n, k)
+    cases = [(n, range(n)) for n in range(1, 65)]
+    cases += [(n, (0, 1, 2, 3, 5, 6, 64, 120, n // 2, n - 1)) for n in (256, 360, 512)]
+    for n, ks in cases:
+        coprime = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+        for k in ks:
+            s = CyclotomicSum.from_exponents(n, (j * k for j in coprime))
+            assert fc.cyclotomic_reduce(s) == _ramanujan_sum(n, k), (n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +148,16 @@ def test_gamma_must_be_positive():
         fc.hom_weight_table(ring("Z4"), 0)
     with pytest.raises(ValueError):
         fc.hom_weight_table(ring("Z4"), F(-1, 2))
+    with pytest.raises(ValueError):
+        fc.local_socle_weight_table(ring("Z4"), 0)
+    lee = table("Z4").norm_weight
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        fc.HomWeightTable(ring=ring("Z4"), gamma=0, norm_weight=lee)
+    # an int gamma comes back as a Fraction, on every route to a table
+    for t in (fc.hom_weight_table(ring("Z4"), 3), fc.local_socle_weight_table(ring("Z4"), 3),
+              fc.HomWeightTable(ring=ring("Z4"), gamma=3, norm_weight=lee)):
+        assert type(t.gamma) is Fraction and t.gamma == 3
+        assert type(t.weight(2)) is Fraction and t.weight(2) == 6
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)

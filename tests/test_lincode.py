@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -113,6 +114,23 @@ def test_row_length_mismatch():
 def test_entry_out_of_range():
     with pytest.raises(ValueError):
         z4_code([(1, 7)])
+
+
+@pytest.mark.parametrize("other", ["GF(4)", "Z2"])
+def test_weight_table_of_another_ring_is_refused(other):
+    # GF(4) has four elements, so its table would read as a wrong weight
+    # (min_hom 8/3 where Z4 gives 4); Z2's is too short for the words
+    message = rf"weight table of {re.escape(other)} given for a code over Z4"
+    with pytest.raises(ValueError, match=message):
+        fc.build_code(ring("Z4"), [(1, 2, 3)], table(other))
+
+
+def test_weight_table_of_another_build_of_the_same_ring_is_accepted():
+    again = fc.build_ring(fc.parse_ring_spec("Z4"))
+    assert again is not ring("Z4")
+    code = fc.build_code(ring("Z4"), [(1, 2, 3)], fc.hom_weight_table(again))
+    assert code.min_hom_norm == 4
+    assert fc.code_from_words(again, 3, code.words, table("Z4")).min_hom_norm == 4
 
 
 def test_message_cap():

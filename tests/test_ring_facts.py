@@ -4,13 +4,15 @@
 and the generating test read its grouping, and ``hom_weight_table`` takes
 one character sum per right unit orbit.  The references here are the
 direct loops over every element: Rx for each x, the quasi-regularity
-scan, and one cyclotomic reduction per element.  The generating test
-checks left ideals only; its reference scans both Rx and xR, so it also
-checks that a character is left generating exactly when it is right
-generating.  The additivity check, run on a generating set of (R, +),
-must reject maps changed at one element or on one coset of a subgroup.
-On drawn rings and words, |Rc| depends only on the set of values of c,
-up to units: the rule ``LinearCode.cyclic_size`` reads.
+scan, and one cyclotomic reduction per element.  ``verify_axioms`` must
+accept the character table and reject it with one weight raised.  The
+generating test checks left ideals only; its reference scans both Rx and
+xR, so it also checks that a character is left generating exactly when
+it is right generating.  The additivity check, run on a generating set
+of (R, +), must reject maps changed at one element or on one coset of a
+subgroup.  On drawn rings and words, |Rc| depends only on the set of
+values of c, up to units: the rule ``LinearCode.cyclic_size`` reads.
+On drawn codes, the weight sums average to the effective length.
 """
 
 import pytest
@@ -71,10 +73,19 @@ def check_facts(r, weights=True):
     assert r.radical == radical_reference(r)
     for exps in multiples(r):
         assert fc.is_generating_character(r, exps) == generating_reference(r, exps)
-    norm = fc.hom_weight_table(r).norm_weight
+    t = fc.hom_weight_table(r)
+    norm = t.norm_weight
     assert norm == fc.solve_weight_axioms(r)
     if weights:
         assert norm == weight_reference(r)
+    # the axiom check is the comparison with the oracle: it must reject a
+    # table with one nonzero weight raised, as that changes the sum over Rx
+    assert fc.verify_axioms(t)
+    xs = range(1, r.size) if r.size <= 16 else sorted(
+        {1, 2, 3, r.size // 3, r.size // 2, r.size - 1})
+    for x in xs:
+        raised = norm[:x] + (norm[x] + 1,) + norm[x + 1:]
+        assert not fc.verify_axioms(fc.HomWeightTable(ring=r, gamma=t.gamma, norm_weight=raised))
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS + CAP_SPECS)
@@ -197,3 +208,20 @@ def test_cyclic_size_is_read_from_the_value_set_up_to_units(drawn, data):
     assert len(fc.cyclic_span(r, sorted(set(w)))) == size
     for u in r.units:
         assert len(fc.cyclic_span(r, scale_word(r, u, set(w)))) == size
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(ring_specs(), st.data())
+def test_weight_sums_over_a_drawn_code_average_to_its_effective_length(drawn, data):
+    """Sum over c in C of w(c)/gamma = |C| ell(C), in the integer core.
+
+    Each coordinate in the support takes every value of a nonzero left
+    ideal I equally often, and the normalised weight sums to |I| over I,
+    since the character sums over the nonzero left ideals Iu vanish.
+    """
+    r = fc.build_ring(fc.parse_ring_spec(drawn[0]))
+    n = data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+    code = fc.build_code(r, data.draw(st.lists(row, min_size=1, max_size=2)))
+    num, den = code.table.numerators, code.table.denominator
+    assert sum(num[x] for w in code.word_order for x in w) == code.size * code.ell_C * den
