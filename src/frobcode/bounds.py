@@ -114,14 +114,16 @@ def _singleton(code: LinearCode, base: int, divisor: int) -> tuple[int, int]:
 def max_cyclic_size(code: LinearCode, incomplete_support_only: bool = False) -> int:
     """Largest size of a cyclic submodule Rc over codewords c.
 
-    Each |Rc| comes from ``LinearCode.cyclic_size``, which reads it off the
-    set of values of c.  With ``incomplete_support_only`` the
+    Each |Rc| comes from ``LinearCode.cyclic_sizes``, which reads it off
+    the set of values of c.  With ``incomplete_support_only`` the
     maximum runs over words whose support misses at least one coordinate.
     The zero word counts among them (with R0 of size 1), so the result is
     1 when no nonzero word has incomplete support.
     """
-    return max((code.cyclic_size(w) for w in code.word_order
-                if not (incomplete_support_only and ell(w) == code.n)), default=0)
+    sizes = code.cyclic_sizes
+    if incomplete_support_only:
+        sizes = [s for s, h in zip(sizes, code.hamming_weights) if h != code.n]
+    return max(sizes, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def best_plotkin_refined(code: LinearCode) -> BoundReport:
     """Tightest per-word instance: the qualifying word minimising the bound.
 
     Words are ranked by |Rc| * (d/gamma - ell(c)), with |Rc| from
-    ``LinearCode.cyclic_size`` (d/gamma - n > 0 is common to all of them), and
+    ``LinearCode.cyclic_sizes`` (d/gamma - n > 0 is common to all of them), and
     only the winner gets a report.  Ties go to the earliest word in the
     code's deterministic order.  When the bound is inapplicable the
     report carries no chosen word.
@@ -177,10 +179,13 @@ def best_plotkin_refined(code: LinearCode) -> BoundReport:
     d = code.min_hom_norm
     if d is None or not d > code.n:
         return _refined_report(code, None, None)
+    # with d = p/q and q > 0, |Rc| * (p - ell(c) q) ranks as |Rc| * (d - ell(c));
     # the zero word always qualifies when d > n >= 0
-    best = min((w for w in code.word_order if ell(w) < d),
-               key=lambda w: code.cyclic_size(w) * (d - ell(w)))
-    return _refined_report(code, best, code.cyclic_size(best))
+    p, q = d.numerator, d.denominator
+    ells, sizes = code.hamming_weights, code.cyclic_sizes
+    best = min((i for i, h in enumerate(ells) if h * q < p),
+               key=lambda i: sizes[i] * (p - ells[i] * q))
+    return _refined_report(code, code.word_order[best], sizes[best])
 
 
 def plotkin_minham(code: LinearCode) -> BoundReport:

@@ -223,9 +223,7 @@ def residual_chain(code: LinearCode) -> ResidualChain:
         s.cyclic_size for s in stages[:-1]
     ) * stages[-1].code.size
     final_code = stages[-1].code
-    final_constant = all(
-        ell(w) == final_code.n for w in final_code.word_order if any(w)
-    )
+    final_constant = all(h == final_code.n for h in final_code.hamming_weights if h)
     final_small = final_code.size <= code.ring.size
 
     ineq_lhs = ineq_rhs = None
@@ -255,5 +253,7 @@ def residual_chain(code: LinearCode) -> ResidualChain:
 
 
 def _select_chain_word(code: LinearCode) -> Word | None:
-    return min((w for w in code.word_order if any(w) and ell(w) < code.n),
-               key=lambda w: (-code.cyclic_size(w), ell(w)), default=None)
+    ells, sizes = code.hamming_weights, code.cyclic_sizes
+    best = min((i for i, h in enumerate(ells) if 0 < h < code.n),
+               key=lambda i: (-sizes[i], ells[i]), default=None)
+    return None if best is None else code.word_order[best]

@@ -6,17 +6,22 @@ every cached parameter (size, support, minimum Hamming weight, minimum
 normalised homogeneous weight) is exact.  Coordinate positions are
 1-based throughout the public interface.
 
-Words are tuples of element indices, and the per-word helpers index the
-ring's operation tables directly.  Weight sums use the table's integer
-numerators over its one denominator and return a ``Fraction`` only at
-the end.
+Words are tuples of element indices in the public interface, and the
+per-word helpers index the ring's operation tables directly.  While a
+code over a ring of at most 16 elements is enumerated, its words are
+packed as bytes: addition and scaling are ``bytes.translate`` calls
+through tables kept on the ring.  A code gathers its per-word facts
+(Hamming weights, weight sums, support, value sets) in one pass over the
+packed words before they become tuples, and reads each word's |Rc| once.
+Weight sums use the table's integer numerators over its one denominator
+and return a ``Fraction`` only at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,12 +63,41 @@ def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
     return tuple([row[c] for c in word])
 
 
+# Element indices of a ring of at most PACK_LIMIT elements fit in 4 bits, so
+# its words are enumerated as bytes, and a pair of indices is one byte.
+PACK_LIMIT = 16
+# A packed word at least this many times as long as the number of nonzero
+# weights is read by counting each value: its weight sum by bytes.count, its
+# set of values by membership tests, which run at C speed.  A shorter word is
+# read per coordinate, which costs less than a call per value.
+_COUNT_RATIO = 8
+
+
+def _counts_values(ring: Ring, table: HomWeightTable, n: int) -> bool:
+    """Whether the packed words of length n are read by counting each value."""
+    return ring.size <= PACK_LIMIT and n >= _COUNT_RATIO * sum(map(bool, table.numerators))
+
+
+def _weigher(table: HomWeightTable, counting: bool):
+    """The weight numerator of a word: by value counts (``counting``, packed
+    words only) or per coordinate."""
+    num = table.numerators
+    if counting:
+        terms = [(x, v) for x, v in enumerate(num) if v]
+        return lambda w: sum([v * w.count(x) for x, v in terms])
+    return lambda w: sum([num[c] for c in w])
+
+
 class LinearCode:
     """An enumerated left-linear code with cached exact parameters.
 
     Immutable after construction.  ``word_order`` fixes a deterministic
     iteration order (message order for generated codes, sorted order for
-    derived ones) used wherever a tie-break is needed.
+    derived ones) used wherever a tie-break is needed.  Over a ring of at
+    most ``PACK_LIMIT`` elements the words may be given packed as bytes;
+    the per-word facts are read from the packed words, and ``word_order``
+    holds them as tuples.  ``hamming_weights`` and ``cyclic_sizes`` are
+    aligned with ``word_order``.
     """
 
     def __init__(
@@ -71,7 +105,7 @@ class LinearCode:
         ring: Ring,
         n: int,
         generators: tuple[Word, ...],
-        word_order: tuple[Word, ...],
+        word_order: Sequence[Word | bytes],
         table: HomWeightTable,
     ):
         # specs, not objects: two builds of one spec give identical tables
@@ -81,21 +115,51 @@ class LinearCode:
         self.table = table
         self.n = n
         self.generators = generators
-        self.word_order = word_order
-        self.words = frozenset(word_order)
-        self.size = len(self.words)
-        self.support = frozenset(
-            i for i, column in enumerate(zip(*word_order), 1) if any(column)
-        )
+        packed = ring.size <= PACK_LIMIT
+        words = [bytes(w) for w in word_order] if packed else word_order
+        self.hamming_weights = [n - w.count(0) for w in words]
+        if packed:
+            union = 0
+            for w in words:
+                union |= int.from_bytes(w, "big")
+            columns = union.to_bytes(n, "big")
+        else:
+            columns = map(any, zip(*words))
+        self.support = frozenset(i for i, c in enumerate(columns, 1) if c)
         self.ell_C = len(self.support)
-        nonzero = [w for w in word_order if any(w)]
-        self.min_hamming = min(map(ell, nonzero), default=None)
-        num = table.numerators
-        least = min((sum([num[c] for c in w]) for w in nonzero), default=None)
+        self.min_hamming = min(filter(None, self.hamming_weights), default=None)
+        counting = _counts_values(ring, table, n)
+        weigh = _weigher(table, counting)
+        least = min((weigh(w) for w, h in zip(words, self.hamming_weights) if h), default=None)
         self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
-        # {value set of a word: |Rc|}, filled by cyclic_size; a plain field
-        # for the reason given on Ring._facts
-        self._cyclic_sizes: dict[frozenset[int], int] = {}
+        # value sets of long packed words, read once by cyclic_sizes; the
+        # other codes take theirs from the tuples
+        self._value_sets = None
+        if counting:
+            elements = range(ring.size)
+            self._value_sets = [frozenset([x for x in elements if x in w]) for w in words]
+        del words
+        # a list is unpacked in place, so each packed word is freed as its
+        # tuple is made
+        order = word_order if isinstance(word_order, list) else list(word_order)
+        for i, w in enumerate(order):
+            order[i] = tuple(w)
+        self.word_order = tuple(order)
+        self.words = frozenset(self.word_order)
+        self.size = len(self.words)
+        # {value set of a word: |Rc|} and the per-word list read from it,
+        # filled on first use; plain fields for the reason given on Ring._facts
+        self._sizes_by_values: dict[frozenset[int], int] = {}
+        self._cyclic_sizes: list[int] | None = None
+
+    def _values_cyclic_size(self, values: frozenset[int]) -> int:
+        """|RV| for a set V of ring elements, one ``cyclic_span`` per unit orbit {uV}."""
+        if values not in self._sizes_by_values:
+            ring = self.ring
+            size = len(cyclic_span(ring, values))
+            self._sizes_by_values.update(
+                (frozenset(scale_word(ring, u, values)), size) for u in ring.units)
+        return self._sizes_by_values[values]
 
     def cyclic_size(self, c: Sequence[int]) -> int:
         """|Rc|, the size of the cyclic submodule of the codeword ``c``.
@@ -106,13 +170,18 @@ class LinearCode:
         """
         if tuple(c) not in self.words:
             raise ValueError("word is not in the code")
-        values = frozenset(c)
-        if values not in self._cyclic_sizes:
-            ring = self.ring
-            size = len(cyclic_span(ring, values))
-            self._cyclic_sizes.update(
-                (frozenset(scale_word(ring, u, values)), size) for u in ring.units)
-        return self._cyclic_sizes[values]
+        return self._values_cyclic_size(frozenset(c))
+
+    @property
+    def cyclic_sizes(self) -> list[int]:
+        """|Rc| for each word c of ``word_order``, as ``cyclic_size`` reads it."""
+        if self._cyclic_sizes is None:
+            values = self._value_sets
+            if values is None:
+                values = map(frozenset, self.word_order)
+            self._cyclic_sizes = list(map(self._values_cyclic_size, values))
+            self._value_sets = None
+        return self._cyclic_sizes
 
     def __contains__(self, word: Sequence[int]) -> bool:
         return tuple(word) in self.words
@@ -165,14 +234,39 @@ def build_code(
     if table is None:
         table = hom_weight_table(ring)
     # Level i holds the distinct partial sums of the first i rows, in the
-    # order they first appear in the lexicographic sweep: one word_add per
-    # extended prefix.  Dropping a repeated prefix keeps that order, since
-    # its extensions already appeared under its first copy.
-    level: list[Word] = [(0,) * n]
+    # order they first appear in the lexicographic sweep.
+    pack = _packer(ring)
+    level = [pack((0,) * n)]
     for row in rows:
+        level = list(_extend_level(ring, level, pack(row)))
+    return LinearCode(ring, n, rows, level, table)
+
+
+def _packer(ring: Ring):
+    """The word type of enumeration: bytes up to ``PACK_LIMIT`` elements, else tuple."""
+    return bytes if ring.size <= PACK_LIMIT else tuple
+
+
+def _extend_level(ring: Ring, level: Iterable, row) -> dict:
+    """The distinct words w + r*row, for w in ``level`` and r in R, as dict keys.
+
+    They come in sweep order (w outer, r inner), one addition per pair.
+    Dropping a repeated word keeps the order of a message sweep, since its
+    extensions already appeared under its first copy.  Words and ``row``
+    are of the ``_packer`` type.  A packed sum shifts w by 4 bits, so each
+    byte holds a << 4 | b, and one translate through the pair table adds
+    every coordinate.
+    """
+    if ring.size > PACK_LIMIT:
         scaled = [scale_word(ring, r, row) for r in range(ring.size)]
-        level = list(dict.fromkeys(word_add(ring, w, s) for w in level for s in scaled))
-    return LinearCode(ring, n, rows, tuple(level), table)
+        return dict.fromkeys(word_add(ring, w, s) for w in level for s in scaled)
+    add, mul = ring.byte_tables
+    n = len(row)
+    scaled = [int.from_bytes(row.translate(m), "big") for m in mul]
+    return dict.fromkeys(
+        (high | s).to_bytes(n, "big").translate(add)
+        for high in (int.from_bytes(w, "big") << 4 for w in level) for s in scaled
+    )
 
 
 def code_from_words(
@@ -195,18 +289,16 @@ def code_from_words(
 
 
 def _derive_generators(ring: Ring, n: int, words: set[Word]) -> tuple[Word, ...]:
-    span: set[Word] = {(0,) * n}
+    pack = _packer(ring)
+    packed = {pack(w) for w in words}
+    span = {pack((0,) * n): None}
     gens: list[Word] = []
-    for w in sorted(words):
-        if w in span:
-            continue
-        gens.append(w)
-        span = {
-            word_add(ring, s, scale_word(ring, r, w))
-            for s in span
-            for r in range(ring.size)
-        }
-    if span != words:
+    # bytes sort as the tuples of their values do
+    for w in sorted(packed):
+        if w not in span:
+            gens.append(tuple(w))
+            span = _extend_level(ring, span, w)
+    if span.keys() != packed:
         raise ValueError("word set is not closed under the module operations")
     return tuple(gens)
 
@@ -234,19 +326,29 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     positions = _as_positions(code, s)
     kept = [w for w in code.word_order if support(w) <= positions]
     if compact:
-        cols = sorted(positions)
-        kept = [tuple(w[i - 1] for i in cols) for w in kept]
+        cols = [i - 1 for i in sorted(positions)]
+        kept = map(_projection(cols), kept)
         n = len(cols)
     else:
         n = code.n
     return code_from_words(code.ring, n, kept, code.table)
 
 
+def _projection(cols: Sequence[int]):
+    """The map from a word to the tuple of its coordinates at the 0-based ``cols``."""
+    if len(cols) > 1:
+        return itemgetter(*cols)  # returns a scalar for one item, and needs one
+    if cols:
+        (i,) = cols
+        return lambda w: (w[i],)
+    return lambda w: ()
+
+
 def residual(code: LinearCode, s) -> LinearCode:
     """Projection of the code onto the coordinates outside ``s``."""
     positions = _as_positions(code, s)
     cols = [i - 1 for i in range(1, code.n + 1) if i not in positions]
-    projected = {tuple(w[i] for i in cols) for w in code.word_order}
+    projected = set(map(_projection(cols), code.word_order))
     return code_from_words(code.ring, len(cols), projected, code.table)
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from helpers import ring, table
+from helpers import ring, ring_specs, table
 
 F = Fraction
 
@@ -263,3 +264,32 @@ def test_chain_sizes_telescope():
         for s in sizes:
             prod *= s
         assert code.size == prod * chain.final.size
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_drawn_chain_stages_divide_out_the_removed_cyclic_submodule(data):
+    """|C| = |residual(C, c)| |Rc| at every stage that removes a word c.
+
+    A theorem when n <= d/gamma (the chain's hypothesis), where the words
+    supported inside supp(c) are Rc; for every code, |C| is the size of
+    the shortened code times that of the residual.
+    """
+    if data.draw(st.booleans()):
+        # simplex codes meet the hypothesis, and most have chain stages
+        r = ring(data.draw(ring_specs(8))[0])
+        code = fc.simplex(r, data.draw(st.integers(1, 2)))
+    else:
+        r = ring(data.draw(ring_specs(32))[0])
+        n = data.draw(st.integers(1, 5))
+        row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+        code = fc.build_code(r, data.draw(st.lists(row, min_size=1, max_size=2 if r.size <= 16 else 1)))
+    chain = fc.residual_chain(code)
+    for stage, after in zip(chain.stages, chain.stages[1:]):
+        c = stage.word
+        removed = fc.residual(stage.code, c)
+        assert after.code.words == removed.words
+        assert stage.cyclic_size == stage.code.cyclic_size(c) == len(fc.cyclic_span(r, c))
+        assert stage.code.size == fc.shorten(stage.code, c).size * removed.size
+        if chain.hypothesis_holds:
+            assert stage.code.size == removed.size * stage.cyclic_size

@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from helpers import ring, table
+from frobcode.lincode import _counts_values, _weigher, scale_word, word_add
+from helpers import ring, ring_specs, table
 
 F = Fraction
 
@@ -157,6 +159,97 @@ def test_length_zero_code():
     assert code.min_hom_norm is None
 
 
+# ---------------------------------------------------------------------------
+# Packed words (rings of at most 16 elements) against the tuple kernels
+# ---------------------------------------------------------------------------
+
+def tuple_sweep(r, rows, n):
+    # the level sweep over tuples: one word_add per extended prefix, each
+    # level deduplicated on first appearance
+    level = [(0,) * n]
+    for row in rows:
+        scaled = [scale_word(r, a, row) for a in range(r.size)]
+        level = list(dict.fromkeys(word_add(r, w, s) for w in level for s in scaled))
+    return tuple(level)
+
+
+@st.composite
+def generator_rows(draw, size):
+    """1-3 rows of length 0-8, each fresh, zero or a repeat of an earlier one."""
+    n = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat"] if rows else ["fresh", "zero"]))
+        if kind == "fresh":
+            rows.append(tuple(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))))
+        elif kind == "zero":
+            rows.append((0,) * n)
+        else:
+            rows.append(draw(st.sampled_from(rows)))
+    return rows
+
+
+# 16 elements fill the 4-bit pair table; Z17 is the first ring on tuples
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from(["GF(16)", "Z16", "CHAIN(4)", "Z2xZ8", "Z17"]), st.data())
+def test_build_code_matches_the_tuple_sweep(spec, data):
+    r, t = ring(spec), table(spec)
+    rows = data.draw(generator_rows(r.size))
+    n = len(rows[0])
+    code = fc.build_code(r, rows, t)
+    order = tuple_sweep(r, rows, n)
+    assert code.word_order == order
+    nonzero = [w for w in order if any(w)]
+    weights = [sum((t.norm_weight[c] for c in w), F(0)) for w in nonzero]
+    assert code.min_hom_norm == min(weights, default=None)
+    assert code.min_hamming == min((sum(1 for c in w if c) for w in nonzero), default=None)
+    assert code.support == {i + 1 for w in order for i, c in enumerate(w) if c}
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z4", "GF(8)", "GF(16)", "M2(GF(2))", "Z2xZ8"])
+def test_byte_tables_are_the_operation_tables(spec):
+    r = ring(spec)
+    add, mul = r.byte_tables
+    assert r.byte_tables is r.byte_tables  # built once per ring
+    for a in range(r.size):
+        for b in range(r.size):
+            assert add[a << 4 | b] == r.add(a, b) and mul[a][b] == r.mul(a, b)
+
+
+def test_byte_tables_need_at_most_16_elements():
+    with pytest.raises(ValueError, match="more than 16"):
+        ring("Z17").byte_tables
+
+
+@pytest.mark.parametrize("spec, m", [("Z4", 4), ("GF(16)", 2), ("M2(GF(2))", 2)])
+def test_counted_weight_sums_average_to_the_effective_length(spec, m):
+    # a second method for the count route: sum over C of w(c)/gamma = |C| ell(C)
+    r, t = ring(spec), table(spec)
+    code = fc.simplex(r, m, t)
+    assert _counts_values(r, t, code.n)
+    counted = sum(map(_weigher(t, True), map(bytes, code.word_order)))
+    per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
+    assert counted == per_coordinate == code.size * code.ell_C * t.denominator
+    # the value sets read by membership tests, against frozenset(c)
+    assert code.cyclic_sizes == [code.cyclic_size(w) for w in code.word_order]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(ring_specs(32), st.data())
+def test_per_word_lists_match_the_per_word_facts(drawn, data):
+    r = ring(drawn[0])
+    k = data.draw(st.integers(1, 2 if r.size <= 16 else 1))
+    # packed words this short are read per coordinate, and words of 120 or
+    # more by value counts over every ring of at most 16 elements
+    n = data.draw(st.integers(1, 8) | st.integers(120, 130))
+    row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+    code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)))
+    assert len(code.hamming_weights) == len(code.cyclic_sizes) == code.size
+    for w, h, size in zip(code.word_order, code.hamming_weights, code.cyclic_sizes):
+        assert h == fc.ell(w)
+        assert size == code.cyclic_size(w) == len(fc.cyclic_span(r, w))
+
+
 def test_closure_exhaustive():
     code = z4_code([(1, 2, 3), (0, 2, 2)])
     for u in code.words:
@@ -191,6 +284,14 @@ def test_shorten_compact_drops_vanishing_coordinates():
     sho = fc.shorten(code, c, compact=True)
     assert sho.n == 4
     assert sho.words == {(0, 0, 0, 0), (2, 2, 2, 2)}
+
+
+def test_projections_keep_zero_and_one_column():
+    code = z4_code([(1, 2, 3), (0, 2, 0)])
+    assert fc.residual(code, {1, 2, 3}).words == {()}
+    assert fc.residual(code, {1, 3}).words == {(0,), (2,)}
+    assert fc.shorten(code, {2}, compact=True).words == {(0,), (2,)}
+    assert fc.shorten(code, set(), compact=True).words == {()}
 
 
 def test_shorten_validates_positions():

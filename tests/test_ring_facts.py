@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import frobcode as fc
 from frobcode.homweight import CyclotomicSum
 from frobcode.lincode import scale_word
-from helpers import SUITE_SPECS, ring
+from helpers import SUITE_SPECS, ring, ring_specs
 
 CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
              "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z2)xZ2"]
@@ -158,36 +158,6 @@ def test_additive_map_that_is_not_generating(spec, position):
 # ---------------------------------------------------------------------------
 # Rings drawn from the spec grammar, at most 64 elements
 # ---------------------------------------------------------------------------
-
-PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41,
-                43, 47, 49, 53, 59, 61, 64]
-
-
-@st.composite
-def ring_specs(draw, budget=64):
-    """A spec string and its ring size, at most ``budget``."""
-    kinds = ["Z", "GF"]
-    if budget >= 4:
-        kinds += ["CHAIN", "x"]
-    if budget >= 16:
-        kinds.append("M2")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "Z":
-        m = draw(st.integers(2, budget))
-        return f"Z{m}", m
-    if kind == "GF":
-        q = draw(st.sampled_from([q for q in PRIME_POWERS if q <= budget]))
-        return f"GF({q})", q
-    if kind == "CHAIN":
-        q = draw(st.sampled_from([q for q in PRIME_POWERS if q * q <= budget]))
-        return f"CHAIN({q})", q * q
-    if kind == "M2":
-        inner, size = draw(ring_specs(2))
-        return f"M2({inner})", size ** 4
-    left, left_size = draw(ring_specs(budget // 2))
-    right, right_size = draw(ring_specs(budget // left_size))
-    return f"{left}x{right}", left_size * right_size
-
 
 @settings(max_examples=30, deadline=None, database=None)
 @given(ring_specs())
