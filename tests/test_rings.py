@@ -374,6 +374,25 @@ PARENT_TABLE_DIGESTS = {
     "Z2xGF(256)": "8ca460f7fd0e62862d2d2f77b9a3eb257446d80f4ed7b80b1e3aab536de27f91",
     "Z8xZ64": "c394c91df74ca0a66566d9e484adf17781e98e70e334b2def50521805687a12d",
     "GF(2)xCHAIN(4)xZ8": "c23488a5082943540575b427f2309b7c0d65e2436ad258f5280be89c849aeeec",
+    # residue rings, large primes, triple and nested products: computed
+    # before the table kernels became gathers through existing rows
+    "Z2": "e92f78e4bb8717b036a3f3f50f9003f6a055f384441416a8dc3d66901cdc9881",
+    "Z6": "51d530122e0433d2a3d920507ec01f59b79d77db9aff5929f70dbdff2c8d44db",
+    "Z64": "af78d97c4e4c758f68c1e65139c4488c7f556ca52d2bb060e2b2a1debc4ee866",
+    "Z255": "6618a44a4f0e1f23189e952b543f97cc1135dd069543b0c8216b75dffd2ca0bb",
+    "Z256": "017805c337328fb5f605955db511fade3c2f8427f4c5bf53455c6834e173f8fc",
+    "Z360": "80b647e43267a529a370570d4abcb9ec6089ab2828b229a24f4052fbc2cc55cc",
+    "Z511": "8ea1127d3be955d85759a1ae3140d1002aba679f30289473a2a858289b4f99b6",
+    "Z512": "cd2300d77f6a71f43272c21c0ff91d6e1517102b02d3fcdec890d9e92e642846",
+    "GF(257)": "4941b07354b12df11fd6ddb909ac0a3a336791e9f443f25d167870214e0b6510",
+    "CHAIN(17)": "8261f7b38b34fd2ac9d0c996d99b73ea1687fd9239c279ddbe6f66cdacaadf38",
+    "CHAIN(19)": "7a410773ea9c22a22faf90d958ec0179d06b02f54676402947bdd804c97d5b82",
+    "Z4xZ8xZ16": "b297fa5f84643ef5ab0570a8d00025ea7c03ad6ca8fd55f8bbba2edfbcb21fa7",
+    "Z3xM2(GF(2))xZ5": "7aea5e8614118169b379405efa0091360faee891940f87ec3701aaf30929f30f",
+    "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2": "b5fd0a5741db1899ebf81931e6eaa17bd96f36f9aae358fcedace5185f4984cc",
+    "M2(Z2xZ2)": "1b216e3365139a253c7c890e4f255e7350c54affb23f8814f45bd7f4552bca79",
+    "M2(Z2)xM2(Z2)": "c78187acad940eccb3798034c0577129994be7d5ece9382eaa2fc691b7e28283",
+    "M1(Z6)": "7113cb7744a2d05d3a1e58473c556bea9109f4fcf8d721bec0b4e545f394ff3c",
 }
 
 
