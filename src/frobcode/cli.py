@@ -58,9 +58,12 @@ def _ring_cap() -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"FROBCODE_CAP={raw!r} is not an integer") from None
+    if cap < 2:
+        raise ValueError(f"FROBCODE_CAP={raw!r} is below 2, the size of the smallest ring")
+    return cap
 
 
 def _ring(text: str) -> Ring:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, itemgetter
+from operator import getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
-from .rings import Ring, parse_element, principal_ideal
+from .rings import Ring, gather, parse_element, principal_ideal
 
 
 class SweepCapError(ValueError):
@@ -327,28 +327,18 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     kept = [w for w in code.word_order if support(w) <= positions]
     if compact:
         cols = [i - 1 for i in sorted(positions)]
-        kept = map(_projection(cols), kept)
+        kept = map(gather(cols), kept)
         n = len(cols)
     else:
         n = code.n
     return code_from_words(code.ring, n, kept, code.table)
 
 
-def _projection(cols: Sequence[int]):
-    """The map from a word to the tuple of its coordinates at the 0-based ``cols``."""
-    if len(cols) > 1:
-        return itemgetter(*cols)  # returns a scalar for one item, and needs one
-    if cols:
-        (i,) = cols
-        return lambda w: (w[i],)
-    return lambda w: ()
-
-
 def residual(code: LinearCode, s) -> LinearCode:
     """Projection of the code onto the coordinates outside ``s``."""
     positions = _as_positions(code, s)
     cols = [i - 1 for i in range(1, code.n + 1) if i not in positions]
-    projected = set(map(_projection(cols), code.word_order))
+    projected = set(map(gather(cols), code.word_order))
     return code_from_words(code.ring, len(cols), projected, code.table)
 
 

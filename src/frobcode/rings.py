@@ -8,11 +8,16 @@ identity and index 1 the multiplicative identity; every operation is a
 table lookup, so all downstream arithmetic is exact and ring-agnostic.
 
 Each constructor builds its tables from its structure rather than by
-generic arithmetic per pair of elements: componentwise operations are
-Kronecker combinations of smaller tables, GF(p^k) multiplies through
-discrete-log tables of a primitive element, and M_n(S) through the
-products of row vectors with matrices.  The units are read off the rows
-of the multiplication table.
+generic arithmetic per pair of elements: Z_m rows are slices of a
+repeated range, componentwise operations are Kronecker combinations of
+smaller tables, GF(p^k) multiplies through discrete-log tables of a
+primitive element, and M_n(S) through the outer products of columns with
+rows.  Every row is made by C-level slices, gathers (``gather``) and list
+concatenation, with no Python arithmetic per entry, so the int objects of
+a table are shared from one range rather than allocated once per entry.
+The identity of a product or matrix ring is moved onto index 1 while its
+rows are made.  The units are read off the rows of the multiplication
+table.
 
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
@@ -27,7 +32,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain
 from math import isqrt, lcm
+from operator import getitem, itemgetter
 from typing import Sequence, Union
 
 
@@ -334,17 +341,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
     # mod is monic
     r = list(a)
@@ -515,86 +511,162 @@ class Ideal:
 
 # -- constructor kernels ----------------------------------------------------
 #
-# Each kernel returns (names, add, mul, neg, add_exponent, char_exp, one) in a
-# raw element encoding, with ``one`` the raw index of the multiplicative
-# identity.  _build relabels so that it lands on index 1 and reads the units
-# off the rows of mul: x is a unit iff 1 is in x's row, since one-sided
-# inverses are two-sided in a finite ring.  The tables come from _kron
-# (componentwise operations), GF(p^k) log tables and M_n(S) row products.
+# Each kernel returns (names, add, mul, neg, add_exponent, char_exp) with the
+# multiplicative identity on index 1 and every row of add and mul a tuple.
+# Rows are made by C-level primitives only: tuple slices, ``gather`` through
+# existing rows or ranges, and list concatenation.  No entry is computed by
+# Python arithmetic, so each int object of a table comes from one range and
+# is shared, not allocated once per entry.  A product or matrix ring, whose
+# identity has another raw index ``one``, swaps the labels 1 and ``one`` in
+# the ranges it gathers from, in its columns and in its rows as it builds.
 
-def _kron(left, right):
+
+def gather(indices: Sequence[int]):
+    """The map from a sequence to the tuple of its items at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)  # returns a scalar for one item, and needs one
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _labels(size: int, one: int) -> tuple[int, ...]:
+    """range(size) with the labels 1 and ``one`` swapped."""
+    labels = list(range(size))
+    return tuple(_swap(labels, one))
+
+
+def _swap(seq: list, one: int) -> list:
+    seq[1], seq[one] = seq[one], seq[1]
+    return seq
+
+
+def _kron_rows(left, right, one: int) -> list[tuple[int, ...]]:
+    """Row (a, b) of the componentwise table, for rows a of left and b of right.
+
+    On indices a * s + b, s = len(right[0]), the row is (left[a][c] * s +
+    right[b][d]) over the columns c * s + d, relabelled by ``_labels``.  It
+    is made of min(|left|, s) pieces, each gathered out of a slice of the
+    labels: blocks x * s + right[b] out of the shifted ranges, concatenated
+    in the order of left[a], or strides left[a] * s + y out of the strided
+    ranges, interleaved in the order of right[b].
+    """
+    width, s = len(left[0]), len(right[0])
+    size = width * s
+    labels = _labels(size, one)
+    rows = []
+    if width <= s:
+        shifted = [labels[x:x + s] for x in range(0, size, s)]
+        blocks = [tuple(map(gather(rrow), shifted)) for rrow in right]
+        for lrow in left:
+            pick = gather(lrow)
+            for row_blocks in blocks:
+                row = []
+                for block in pick(row_blocks):
+                    row += block
+                rows.append(tuple(_swap(row, one)))
+    else:
+        strided = [labels[y::s] for y in range(s)]
+        for lrow in left:
+            strides = tuple(map(gather(lrow), strided))
+            for rrow in right:
+                row = [0] * size
+                for d, stride in enumerate(gather(rrow)(strides)):
+                    row[d::s] = stride
+                rows.append(tuple(_swap(row, one)))
+    return rows
+
+
+def _kron(left, right, one: int = 1) -> list[tuple[int, ...]]:
     """The table of (a, b) o (c, d) = (a o c, b o d) on indices a * |right| + b."""
-    s = len(right)
-    high = [[x * s for x in row] for row in left]
-    return [[h + lo for h in hrow for lo in lrow] for hrow in high for lrow in right]
+    return _swap(_kron_rows(left, right, one), one)
 
 
-def _kron_vec(left, right):
+def _kron_vec(left, right, one: int = 1) -> tuple[int, ...]:
     """The map (a, b) -> (left[a], right[b]) on indices a * |right| + b."""
-    s = len(right)
-    return [x * s + y for x in left for y in right]
+    return _kron_rows([left], [right], one)[0]
 
 
 def _build_zm(m: int):
-    names = [str(a) for a in range(m)]
-    add = [[(a + b) % m for b in range(m)] for a in range(m)]
-    mul = [[(a * b) % m for b in range(m)] for a in range(m)]
-    neg = [(-a) % m for a in range(m)]
-    char = list(range(m))
-    return names, add, mul, neg, m, char, 1
+    residues = tuple(range(m))
+    wrapped = residues * m  # wrapped[i] = i mod m
+    add = [wrapped[a:a + m] for a in range(m)]
+    # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
+    mul = [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
+    neg = (0,) + residues[:0:-1]
+    return list(map(str, residues)), add, mul, neg, m, residues
 
 
-def _primitive_powers(p: int, k: int, modulus: Sequence[int]) -> list[int]:
-    """[g^0, g^1, ..., g^(p^k - 2)] for the first primitive element g of GF(p^k)."""
+def _times(images: Sequence[int], add, p: int) -> tuple[int, ...]:
+    """The map v -> v * g on GF(p^k), for images[i] = g * t^i.
+
+    It is additive, so on v = u + d * p^i, u < p^i, it is u * g + d * images[i]:
+    the map so far gathered out of the add row of each multiple d * images[i].
+    """
+    times = (0,)
+    for image in images:
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add[multiples[-1]][image])
+        times = tuple(chain.from_iterable(map(gather(times), gather(multiples)(add))))
+    return times
+
+
+def _primitive_powers(p: int, k: int, modulus: Sequence[int], add) -> tuple[int, ...]:
+    """(g^0, g^1, ..., g^(p^k - 2)) for the first primitive element g of GF(p^k).
+
+    Each candidate g multiplies through the map v -> v * g of ``_times``,
+    whose images g * t^i come from the map v -> v * t, with t^k the negated
+    low coefficients of the monic ``modulus``.
+    """
+    t_power_k = _undigits([-c % p for c in modulus[:k]], p)
+    times_t = _times([p ** i for i in range(1, k)] + [t_power_k], add, p)
     for g in range(1, p ** k):
-        poly, cur, powers = _digits(g, p, k), (1,), [1]
-        while True:  # the powers of g return to 1 within p^k - 1 steps
-            cur = _poly_mod(_poly_mul(cur, poly, p), modulus, p)
-            if cur == (1,):
-                break
-            powers.append(_undigits(cur, p))
+        images = [g]
+        for _ in range(k - 1):
+            images.append(times_t[images[-1]])
+        times_g = _times(images, add, p)
+        powers, cur = [1], g
+        while cur != 1:  # the powers of g return to 1 within p^k - 1 steps
+            powers.append(cur)
+            cur = times_g[cur]
         if len(powers) == p ** k - 1:
-            return powers
+            return tuple(powers)
     raise RingSpecError(f"GF({p}^{k}) has no primitive element")  # unreachable
 
 
 def _build_gf(p: int, k: int):
+    prime = _build_zm(p)
+    if k == 1:
+        return prime  # GF(p) is Z_p, on the same indices
+    _, zp_add, _, zp_neg, _, _ = prime
     size = p ** k
-    names = ["".join(str(d) for d in _digits(v, p, k)) for v in range(size)]
+    names = ["".join(map(str, _digits(v, p, k))) for v in range(size)]
     # coefficient vectors add digit by digit: the k-fold combination of Z_p
-    add = reduce(_kron, [[[(a + b) % p for b in range(p)] for a in range(p)]] * k)
-    neg = reduce(_kron_vec, [[(-a) % p for a in range(p)]] * k)
+    add = reduce(_kron, [zp_add] * k)
+    neg = reduce(_kron_vec, [zp_neg] * k)
 
-    # mul[a][b] = exp[log a + log b] for nonzero a and b
-    exp = _primitive_powers(p, k, _smallest_irreducible(p, k))
+    # row a of mul is exp[log a + log b] over b != 0: a gather of the exp
+    # table from offset log a
+    exp = _primitive_powers(p, k, _smallest_irreducible(p, k), add)
     log = [0] * size
     for i, x in enumerate(exp):
         log[x] = i
-    exp += exp
     logs = log[1:]
-    mul = [[0] * size] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+    pick, exp = gather(logs), exp * 2
+    mul = [(0,) * size] + [(0,) + pick(exp[la:la + size - 1]) for la in logs]
 
-    # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1))
-    def power(x: int, e: int) -> int:
-        r, b = 1, x
-        while e:
-            if e & 1:
-                r = mul[r][b]
-            b = mul[b][b]
-            e >>= 1
-        return r
-
-    char = []
-    for x in range(size):
-        total, cur = x, x
-        for _ in range(k - 1):
-            cur = power(cur, p)
-            total = add[total][cur]
-        digs = _digits(total, p, k)
-        if any(digs[1:]):
-            raise CharacterError(f"trace of element {x} left the prime field")
-        char.append(digs[0])
-    return names, add, mul, neg, p, char, 1
+    # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1)),
+    # through the Frobenius map x -> x^p
+    frobenius = (0,) + gather([p * la % (size - 1) for la in logs])(exp)
+    total = power = tuple(range(size))
+    for _ in range(k - 1):
+        power = gather(power)(frobenius)
+        total = tuple(map(getitem, gather(total)(add), power))
+    if max(total) >= p:
+        raise CharacterError(f"the trace of GF({p}^{k}) left the prime field")
+    return names, add, mul, neg, p, total
 
 
 def _build_mat(n: int, inner: Ring):
@@ -603,93 +675,91 @@ def _build_mat(n: int, inner: Ring):
     s = inner.size
     m = s ** n
     size = m ** n
+    one = sum(s ** (r * n + r) for r in range(n))
     entries = [_digits(v, s, n * n) for v in range(size)]
     names = ["[" + ";".join(inner.element_names[e] for e in ent) + "]" for ent in entries]
 
     vadd = reduce(_kron, [inner.add_table] * n)  # row vectors
-    add = reduce(_kron, [vadd] * n)
-    neg = reduce(_kron_vec, [inner.neg_table] * (n * n))
+    vneg = reduce(_kron_vec, [inner.neg_table] * n)
+    if n > 1:
+        add = _kron(reduce(_kron, [vadd] * (n - 1)), vadd, one)
+        neg = _kron_vec(reduce(_kron_vec, [vneg] * (n - 1)), vneg, one)
+    else:
+        add, neg = vadd, vneg
 
     # scaled[x][w] = x * w for x in S and a row vector w
     scaled = [reduce(_kron_vec, [row] * n) for row in inner.mul_table]
-    # rowprod[v][B] = v * B = sum over t of v_t * (row t of B), for every
-    # row vector v and matrix B
-    rowprod = []
-    for v in range(m):
-        coeffs = _digits(v, s, n)
-        acc = scaled[coeffs[n - 1]]
+    # outer[c][w] is the label of the matrix c w for a column c and a row w,
+    # whose row r is c_r * w: read through nested slices of the labels, one
+    # level per row, row n - 1 outermost
+    nested = _labels(size, one)
+    for _ in range(n - 1):
+        nested = [nested[j:j + m] for j in range(0, len(nested), m)]
+    outer = []
+    for c in range(m):
+        coeffs = _digits(c, s, n)
+        acc = gather(scaled[coeffs[n - 1]])(nested)
+        for r in range(n - 2, -1, -1):
+            acc = tuple(map(getitem, acc, scaled[coeffs[r]]))
+        outer.append(acc)
+    # A * B is the sum over t of (column t of A)(row t of B), and row t of B
+    # is its base m digit t: row A of mul concatenates, for each sum x over
+    # the rows above t, the products with row t gathered out of add[x]
+    mul = []
+    for ent in entries:
+        products = [outer[_undigits(ent[t::n], s)] for t in range(n)]
+        row = list(products[n - 1])
         for t in range(n - 2, -1, -1):
-            acc = [vadd[hi][lo] for hi in acc for lo in scaled[coeffs[t]]]
-        rowprod.append(acc)
-    # row r of A * B is (row r of A) * B: mul[A][B] combines the n row
-    # products in base m, rows of mul in index order of A
-    mul = [[w * m ** (n - 1) for w in prods] for prods in rowprod]
-    for r in range(n - 2, -1, -1):
-        weight = m ** r
-        mul = [
-            [hi + lo * weight for hi, lo in zip(hrow, prods)]
-            for hrow in mul for prods in rowprod
-        ]
+            pick, above, row = gather(products[t]), row, []
+            for x in above:
+                row += pick(add[x])
+        mul.append(tuple(_swap(row, one)))
 
     char = []
-    iadd = inner.add_table
+    inner_add, diagonal = inner.add_table, gather([r * n + r for r in range(n)])
     for a in entries:
         tr = 0
-        for r in range(n):
-            tr = iadd[tr][a[r * n + r]]
+        for x in diagonal(a):
+            tr = inner_add[tr][x]
         char.append(inner.char_exp[tr])
-    one = sum(s ** (r * n + r) for r in range(n))
-    return names, add, mul, neg, inner.add_exponent, char, one
+    return _swap(names, one), add, _swap(mul, one), neg, inner.add_exponent, _swap(char, one)
 
 
 def _build_prod(left: Ring, right: Ring):
-    bs = right.size
-    pairs = [(i // bs, i % bs) for i in range(left.size * bs)]
-    names = [f"{left.element_names[a]}|{right.element_names[b]}" for a, b in pairs]
-    add = _kron(left.add_table, right.add_table)
-    mul = _kron(left.mul_table, right.mul_table)
-    neg = _kron_vec(left.neg_table, right.neg_table)
+    one = right.size + 1
+    names = [f"{a}|{b}" for a in left.element_names for b in right.element_names]
+    add = _kron(left.add_table, right.add_table, one)
+    mul = _kron(left.mul_table, right.mul_table, one)
+    neg = _kron_vec(left.neg_table, right.neg_table, one)
 
     n_left, n_right = left.add_exponent, right.add_exponent
     n = lcm(n_left, n_right)
     char = [
-        ((n // n_left) * left.char_exp[a] + (n // n_right) * right.char_exp[b]) % n
-        for a, b in pairs
+        ((n // n_left) * a + (n // n_right) * b) % n
+        for a in left.char_exp for b in right.char_exp
     ]
-    return names, add, mul, neg, n, char, bs + 1
+    return _swap(names, one), add, mul, neg, n, _swap(char, one)
 
 
 def _build_chain(q: int, fld: Ring):
     # elements a + b*u with u^2 = 0, a and b in the q-element field, on
     # indices a + q*b
-    pairs = [(i % q, i // q) for i in range(q * q)]
-    names = [f"{fld.element_names[a]}+{fld.element_names[b]}u" for a, b in pairs]
-    fadd, fmul = fld.add_table, fld.mul_table
+    fnames, fadd, fmul = fld.element_names, fld.add_table, fld.mul_table
+    names = [f"{fnames[a]}+{fnames[b]}u" for b in range(q) for a in range(q)]
     add = _kron(fadd, fadd)
-    mul = [
-        [fmul[a][c] + q * fadd[fmul[a][d]][fmul[b][c]] for c, d in pairs]
-        for a, b in pairs
-    ]
     neg = _kron_vec(fld.neg_table, fld.neg_table)
-    char = [fld.char_exp[fadd[a][b]] for a, b in pairs]
-    return names, add, mul, neg, fld.add_exponent, char, 1
-
-
-def _relabel_identity(one, names, add, mul, neg, char):
-    """Swap the labels 1 and ``one`` so the multiplicative identity has index 1."""
-    if one == 1:
-        return names, add, mul, neg, char
-    perm = list(range(len(names)))
-    perm[1], perm[one] = one, 1  # involution
-
-    def swap(seq: list) -> list:
-        seq[1], seq[one] = seq[one], seq[1]
-        return seq
-
-    add = swap([swap([perm[x] for x in row]) for row in add])
-    mul = swap([swap([perm[x] for x in row]) for row in mul])
-    neg = swap([perm[x] for x in neg])
-    return swap(list(names)), add, mul, neg, swap(list(char))
+    char = [fld.char_exp[fadd[a][b]] for b in range(q) for a in range(q)]
+    # (a + bu)(c + du) = (a + bu)c + (ad)u: over each d, the products
+    # (a + bu)c gathered out of the add row of (ad)u
+    mul = []
+    for b in range(q):
+        for a in range(q):
+            pick = gather([lo + q * hi for lo, hi in zip(fmul[a], fmul[b])])
+            row = []
+            for ad in fmul[a]:
+                row += pick(add[q * ad])
+            mul.append(tuple(row))
+    return names, add, mul, neg, fld.add_exponent, char
 
 
 def _build(spec: RingSpec) -> Ring:
@@ -707,21 +777,19 @@ def _build(spec: RingSpec) -> Ring:
     else:
         raise RingSpecError(f"unknown ring spec {spec!r}")
 
-    names, add, mul, neg, n_exp, char, one = parts
-    names, add, mul, neg, char = _relabel_identity(one, names, add, mul, neg, char)
-    mul_table = tuple(tuple(row) for row in mul)
+    names, add, mul, neg, n_exp, char = parts
     return Ring(
         spec=spec,
         name=canonical_ring_name(spec),
         size=len(names),
-        add_table=tuple(tuple(row) for row in add),
-        mul_table=mul_table,
+        add_table=tuple(add),
+        mul_table=tuple(mul),
         neg_table=tuple(neg),
-        units=frozenset(u for u, row in enumerate(mul_table) if 1 in row),
+        units=frozenset(u for u, row in enumerate(mul) if 1 in row),
         add_exponent=n_exp,
         char_exp=tuple(char),
         element_names=tuple(names),
-        _name_index={name: i for i, name in enumerate(names)},
+        _name_index=dict(zip(names, range(len(names)))),
     )
 
 

@@ -1,11 +1,13 @@
-"""Shared cached builders for the test suite."""
+"""Shared cached builders for the test suite, and the reference ring tables."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import lcm
 
 from hypothesis import strategies as st
 
 import frobcode as fc
+from frobcode.rings import _digits, _poly_mod, _prime_power, _smallest_irreducible, _undigits
 
 # every ring exercised by the cross-checking suites
 SUITE_SPECS = (
@@ -13,6 +15,10 @@ SUITE_SPECS = (
     + ["GF(%d)" % q for q in (2, 3, 4, 5, 7, 8, 9)]
     + ["M2(GF(2))", "Z2xZ3", "CHAIN(2)", "CHAIN(3)"]
 )
+
+# rings at the size cap, one per constructor shape
+CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
+             "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z2)xZ2"]
 
 
 @lru_cache(maxsize=None)
@@ -53,3 +59,195 @@ def ring_specs(draw, budget=64):
     left, left_size = draw(ring_specs(budget // 2))
     right, right_size = draw(ring_specs(budget // left_size))
     return f"{left}x{right}", left_size * right_size
+
+
+# ---------------------------------------------------------------------------
+# Reference ring tables: every entry by Python arithmetic on element indices,
+# then the identity relabelled onto index 1 in a second pass.  The package
+# builds the same tables out of gathers and slices.
+# ---------------------------------------------------------------------------
+
+def reference_tables(spec) -> dict:
+    """The tables of the ring ``spec`` (a spec object), entry by entry."""
+    names, add, mul, neg, n_exp, char, one = _reference_parts(spec)
+    names, add, mul, neg, char = _relabel_identity(one, names, add, mul, neg, char)
+    return {
+        "size": len(names),
+        "add_table": tuple(tuple(row) for row in add),
+        "mul_table": tuple(tuple(row) for row in mul),
+        "neg_table": tuple(neg),
+        "units": frozenset(u for u, row in enumerate(mul) if 1 in row),
+        "add_exponent": n_exp,
+        "char_exp": tuple(char),
+        "element_names": tuple(names),
+    }
+
+
+def _reference_parts(spec):
+    if isinstance(spec, fc.Zm):
+        return _ref_zm(spec.m)
+    if isinstance(spec, fc.GF):
+        return _ref_gf(spec.p, spec.k)
+    if isinstance(spec, fc.Mat):
+        return _ref_mat(spec.n, reference_tables(spec.inner))
+    if isinstance(spec, fc.Prod):
+        return _ref_prod(reference_tables(spec.left), reference_tables(spec.right))
+    p, f = _prime_power(spec.q)
+    return _ref_chain(spec.q, reference_tables(fc.GF(p, f)))
+
+
+def _kron(left, right):
+    s = len(right)
+    high = [[x * s for x in row] for row in left]
+    return [[h + lo for h in hrow for lo in lrow] for hrow in high for lrow in right]
+
+
+def _kron_vec(left, right):
+    s = len(right)
+    return [x * s + y for x in left for y in right]
+
+
+def _ref_zm(m):
+    names = [str(a) for a in range(m)]
+    add = [[(a + b) % m for b in range(m)] for a in range(m)]
+    mul = [[(a * b) % m for b in range(m)] for a in range(m)]
+    neg = [(-a) % m for a in range(m)]
+    return names, add, mul, neg, m, list(range(m)), 1
+
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    n = len(out)
+    while n > 0 and out[n - 1] == 0:
+        n -= 1
+    return tuple(out[:n])
+
+
+def _ref_primitive_powers(p, k, modulus):
+    for g in range(1, p ** k):
+        poly, cur, powers = _digits(g, p, k), (1,), [1]
+        while True:
+            cur = _poly_mod(_poly_mul(cur, poly, p), modulus, p)
+            if cur == (1,):
+                break
+            powers.append(_undigits(cur, p))
+        if len(powers) == p ** k - 1:
+            return powers
+    raise AssertionError("no primitive element")
+
+
+def _ref_gf(p, k):
+    size = p ** k
+    names = ["".join(str(d) for d in _digits(v, p, k)) for v in range(size)]
+    add = reduce(_kron, [[[(a + b) % p for b in range(p)] for a in range(p)]] * k)
+    neg = reduce(_kron_vec, [[(-a) % p for a in range(p)]] * k)
+    exp = _ref_primitive_powers(p, k, _smallest_irreducible(p, k))
+    log = [0] * size
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp += exp
+    logs = log[1:]
+    mul = [[0] * size] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+
+    def power(x, e):
+        r, b = 1, x
+        while e:
+            if e & 1:
+                r = mul[r][b]
+            b = mul[b][b]
+            e >>= 1
+        return r
+
+    char = []
+    for x in range(size):
+        total, cur = x, x
+        for _ in range(k - 1):
+            cur = power(cur, p)
+            total = add[total][cur]
+        digs = _digits(total, p, k)
+        assert not any(digs[1:])
+        char.append(digs[0])
+    return names, add, mul, neg, p, char, 1
+
+
+def _ref_mat(n, inner):
+    s = inner["size"]
+    m = s ** n
+    size = m ** n
+    entries = [_digits(v, s, n * n) for v in range(size)]
+    names = ["[" + ";".join(inner["element_names"][e] for e in ent) + "]" for ent in entries]
+    vadd = reduce(_kron, [inner["add_table"]] * n)
+    add = reduce(_kron, [vadd] * n)
+    neg = reduce(_kron_vec, [inner["neg_table"]] * (n * n))
+    scaled = [reduce(_kron_vec, [row] * n) for row in inner["mul_table"]]
+    rowprod = []
+    for v in range(m):
+        coeffs = _digits(v, s, n)
+        acc = scaled[coeffs[n - 1]]
+        for t in range(n - 2, -1, -1):
+            acc = [vadd[hi][lo] for hi in acc for lo in scaled[coeffs[t]]]
+        rowprod.append(acc)
+    mul = [[w * m ** (n - 1) for w in prods] for prods in rowprod]
+    for r in range(n - 2, -1, -1):
+        weight = m ** r
+        mul = [[hi + lo * weight for hi, lo in zip(hrow, prods)] for hrow in mul for prods in rowprod]
+    char = []
+    for a in entries:
+        tr = 0
+        for r in range(n):
+            tr = inner["add_table"][tr][a[r * n + r]]
+        char.append(inner["char_exp"][tr])
+    one = sum(s ** (r * n + r) for r in range(n))
+    return names, add, mul, neg, inner["add_exponent"], char, one
+
+
+def _ref_prod(left, right):
+    bs = right["size"]
+    pairs = [(i // bs, i % bs) for i in range(left["size"] * bs)]
+    names = [f"{left['element_names'][a]}|{right['element_names'][b]}" for a, b in pairs]
+    add = _kron(left["add_table"], right["add_table"])
+    mul = _kron(left["mul_table"], right["mul_table"])
+    neg = _kron_vec(left["neg_table"], right["neg_table"])
+    n_left, n_right = left["add_exponent"], right["add_exponent"]
+    n = lcm(n_left, n_right)
+    char = [
+        ((n // n_left) * left["char_exp"][a] + (n // n_right) * right["char_exp"][b]) % n
+        for a, b in pairs
+    ]
+    return names, add, mul, neg, n, char, bs + 1
+
+
+def _ref_chain(q, fld):
+    pairs = [(i % q, i // q) for i in range(q * q)]
+    names = [f"{fld['element_names'][a]}+{fld['element_names'][b]}u" for a, b in pairs]
+    fadd, fmul = fld["add_table"], fld["mul_table"]
+    add = _kron(fadd, fadd)
+    mul = [
+        [fmul[a][c] + q * fadd[fmul[a][d]][fmul[b][c]] for c, d in pairs]
+        for a, b in pairs
+    ]
+    neg = _kron_vec(fld["neg_table"], fld["neg_table"])
+    char = [fld["char_exp"][fadd[a][b]] for a, b in pairs]
+    return names, add, mul, neg, fld["add_exponent"], char, 1
+
+
+def _relabel_identity(one, names, add, mul, neg, char):
+    if one == 1:
+        return names, add, mul, neg, char
+    perm = list(range(len(names)))
+    perm[1], perm[one] = one, 1
+
+    def swap(seq):
+        seq[1], seq[one] = seq[one], seq[1]
+        return seq
+
+    add = swap([swap([perm[x] for x in row]) for row in add])
+    mul = swap([swap([perm[x] for x in row]) for row in mul])
+    neg = swap([perm[x] for x in neg])
+    return swap(list(names)), add, mul, neg, swap(list(char))

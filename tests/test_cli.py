@@ -343,6 +343,11 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert "cap" in err
     monkeypatch.setenv("FROBCODE_CAP", "not-a-number")
     assert run(capsys, "ring", "info", "--ring", "Z4")[0] == 1
+    for cap in ("-5", "0", "1"):
+        monkeypatch.setenv("FROBCODE_CAP", cap)
+        code, out, err = run(capsys, "ring", "info", "--ring", "Z2")
+        assert code == 1 and not out
+        assert f"FROBCODE_CAP='{cap}' is below 2" in err
 
 
 def test_violated_bound_sentinel():

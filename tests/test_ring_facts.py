@@ -21,10 +21,7 @@ from hypothesis import given, settings, strategies as st
 import frobcode as fc
 from frobcode.homweight import CyclotomicSum
 from frobcode.lincode import scale_word
-from helpers import SUITE_SPECS, ring, ring_specs
-
-CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
-             "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z2)xZ2"]
+from helpers import CAP_SPECS, SUITE_SPECS, ring, ring_specs
 
 
 def grouping_reference(r):

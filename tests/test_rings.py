@@ -3,9 +3,11 @@ import time
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
 
 import frobcode as fc
-from helpers import SUITE_SPECS, ring
+from frobcode.rings import gather
+from helpers import CAP_SPECS, SUITE_SPECS, reference_tables, ring, ring_specs
 
 # rings small enough for cubic axiom sweeps
 SMALL_SPECS = ["Z2", "Z4", "Z6", "Z9", "GF(4)", "GF(8)", "GF(9)", "M2(GF(2))", "Z2xZ3", "CHAIN(2)", "CHAIN(3)"]
@@ -402,6 +404,29 @@ def test_tables_match_parent_build(spec):
     data = (r.add_table, r.mul_table, r.neg_table, sorted(r.units), r.add_exponent,
             r.char_exp, r.element_names)
     assert hashlib.sha256(repr(data).encode()).hexdigest() == PARENT_TABLE_DIGESTS[spec]
+
+
+def _assert_reference_tables(r):
+    assert all(type(row) is tuple for row in r.add_table + r.mul_table + (r.neg_table,))
+    for key, value in reference_tables(r.spec).items():
+        assert getattr(r, key) == value, key
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_specs())
+def test_tables_match_reference_kernels(drawn):
+    _assert_reference_tables(ring(drawn[0]))
+
+
+@pytest.mark.parametrize("spec", CAP_SPECS)
+def test_cap_tables_match_reference_kernels(spec):
+    _assert_reference_tables(ring(spec))
+
+
+def test_gather_returns_a_tuple_for_any_number_of_indices():
+    assert gather([])("abc") == ()
+    assert gather([2])("abc") == ("c",)
+    assert gather([2, 0, 2])("abc") == ("c", "a", "c")
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
