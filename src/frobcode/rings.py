@@ -512,13 +512,12 @@ class Ideal:
 # -- constructor kernels ----------------------------------------------------
 #
 # Each kernel returns (names, add, mul, neg, add_exponent, char_exp) with the
-# multiplicative identity on index 1 and every row of add and mul a tuple.
-# Rows are made by C-level primitives only: tuple slices, ``gather`` through
-# existing rows or ranges, and list concatenation.  No entry is computed by
-# Python arithmetic, so each int object of a table comes from one range and
-# is shared, not allocated once per entry.  A product or matrix ring, whose
-# identity has another raw index ``one``, swaps the labels 1 and ``one`` in
-# the ranges it gathers from, in its columns and in its rows as it builds.
+# multiplicative identity on index 1 and every row of add and mul a tuple,
+# made by slices, ``gather`` and list concatenation only.  A product or matrix
+# ring, whose identity has another raw index ``one``, swaps the labels 1 and
+# ``one`` in the ranges it gathers from, in its columns and in its rows as it
+# builds.  _build reads the units off the rows of mul: x is a unit iff 1 is in
+# x's row, since one-sided inverses are two-sided in a finite ring.
 
 
 def gather(indices: Sequence[int]):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 import frobcode as fc
-from frobcode.rings import gather
 from helpers import CAP_SPECS, SUITE_SPECS, reference_tables, ring, ring_specs
 
 # rings small enough for cubic axiom sweeps
@@ -421,12 +420,6 @@ def test_tables_match_reference_kernels(drawn):
 @pytest.mark.parametrize("spec", CAP_SPECS)
 def test_cap_tables_match_reference_kernels(spec):
     _assert_reference_tables(ring(spec))
-
-
-def test_gather_returns_a_tuple_for_any_number_of_indices():
-    assert gather([])("abc") == ()
-    assert gather([2])("abc") == ("c",)
-    assert gather([2, 0, 2])("abc") == ("c", "a", "c")
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
