@@ -11,8 +11,11 @@ per-word helpers index the ring's operation tables directly.  While a
 code over a ring of at most 16 elements is enumerated, its words are
 packed as bytes: addition and scaling are ``bytes.translate`` calls
 through tables kept on the ring.  A code gathers its per-word facts
-(Hamming weights, weight sums, support, value sets) in one pass over the
-packed words before they become tuples, and reads each word's |Rc| once.
+(Hamming weights, weight sums, value sets) in one pass over the packed
+words before they become tuples, and reads each word's |Rc| once.  Its
+support is read off its generator rows.  A derived (shortened or
+residual) code packs and sorts its words once, and its generators are
+picked greedily from them by the same enumeration.
 Weight sums use the table's integer numerators over its one denominator
 and return a ``Fraction`` only at the end.
 """
@@ -97,7 +100,9 @@ class LinearCode:
     most ``PACK_LIMIT`` elements the words may be given packed as bytes;
     the per-word facts are read from the packed words, and ``word_order``
     holds them as tuples.  ``hamming_weights`` and ``cyclic_sizes`` are
-    aligned with ``word_order``.
+    aligned with ``word_order``.  The ``generators`` must generate
+    ``word_order``: the support is read off them, as coordinate i vanishes
+    on the code exactly when it vanishes on every generator.
     """
 
     def __init__(
@@ -118,14 +123,7 @@ class LinearCode:
         packed = ring.size <= PACK_LIMIT
         words = [bytes(w) for w in word_order] if packed else word_order
         self.hamming_weights = [n - w.count(0) for w in words]
-        if packed:
-            union = 0
-            for w in words:
-                union |= int.from_bytes(w, "big")
-            columns = union.to_bytes(n, "big")
-        else:
-            columns = map(any, zip(*words))
-        self.support = frozenset(i for i, c in enumerate(columns, 1) if c)
+        self.support = frozenset(i for i, col in enumerate(zip(*generators), 1) if any(col))
         self.ell_C = len(self.support)
         self.min_hamming = min(filter(None, self.hamming_weights), default=None)
         counting = _counts_values(ring, table, n)
@@ -224,12 +222,7 @@ def build_code(
     rows = tuple(tuple(r) for r in rows)
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("generator rows have unequal lengths")
-        for c in r:
-            if not 0 <= c < ring.size:
-                raise ValueError(f"entry {c} outside the ring of size {ring.size}")
+    _check_rows(ring, rows, n)
     _check_sweep(ring, k, n, message_cap)
     if table is None:
         table = hom_weight_table(ring)
@@ -240,6 +233,17 @@ def build_code(
     for row in rows:
         level = list(_extend_level(ring, level, pack(row)))
     return LinearCode(ring, n, rows, level, table)
+
+
+def _check_rows(ring: Ring, rows: Iterable[Sequence[int]], n: int) -> None:
+    """Refuse rows (tuples or packed words) other than n elements of the ring."""
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("generator rows have unequal lengths")
+        low, high = min(r, default=0), max(r, default=0)
+        if low < 0 or high >= ring.size:
+            bad = low if low < 0 else high
+            raise ValueError(f"entry {bad} outside the ring of size {ring.size}")
 
 
 def _packer(ring: Ring):
@@ -270,37 +274,30 @@ def _extend_level(ring: Ring, level: Iterable, row) -> dict:
 
 
 def code_from_words(
-    ring: Ring,
-    n: int,
-    words: Iterable[Sequence[int]],
-    table: HomWeightTable,
-    generators: tuple[Word, ...] | None = None,
+    ring: Ring, n: int, words: Iterable[Sequence[int]], table: HomWeightTable
 ) -> LinearCode:
     """Wrap an already-enumerated submodule of R^n as a code.
 
-    A small generating set is derived greedily when none is supplied; the
-    input must be closed under addition and left scaling.
+    The words are packed once and sorted once (bytes sort as the tuples of
+    their values do), which fixes ``word_order``.  A word outside the span
+    of the smaller ones becomes a generator, and the span of the generators
+    must be the input: it must be closed under addition and left scaling.
+    Each word must have n entries, each an element of the ring.
     """
-    word_set = {tuple(w) for w in words}
-    order = tuple(sorted(word_set))
-    if generators is None:
-        generators = _derive_generators(ring, n, word_set)
-    return LinearCode(ring, n, generators, order, table)
-
-
-def _derive_generators(ring: Ring, n: int, words: set[Word]) -> tuple[Word, ...]:
     pack = _packer(ring)
     packed = {pack(w) for w in words}
+    _check_rows(ring, packed, n)
+    order = sorted(packed)
     span = {pack((0,) * n): None}
     gens: list[Word] = []
-    # bytes sort as the tuples of their values do
-    for w in sorted(packed):
+    for w in order:
         if w not in span:
             gens.append(tuple(w))
             span = _extend_level(ring, span, w)
     if span.keys() != packed:
         raise ValueError("word set is not closed under the module operations")
-    return tuple(gens)
+    del packed, span  # the words live on only in order, unpacked there in place
+    return LinearCode(ring, n, tuple(gens), order, table)
 
 
 def _as_positions(code: LinearCode, s) -> frozenset[int]:
@@ -324,7 +321,8 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     ``s``; ``compact=True`` drops those always-zero coordinates instead.
     """
     positions = _as_positions(code, s)
-    kept = [w for w in code.word_order if support(w) <= positions]
+    outside = gather([i for i in range(code.n) if i + 1 not in positions])
+    kept = [w for w in code.word_order if not any(outside(w))]
     if compact:
         cols = [i - 1 for i in sorted(positions)]
         kept = map(gather(cols), kept)
@@ -338,8 +336,7 @@ def residual(code: LinearCode, s) -> LinearCode:
     """Projection of the code onto the coordinates outside ``s``."""
     positions = _as_positions(code, s)
     cols = [i - 1 for i in range(1, code.n + 1) if i not in positions]
-    projected = set(map(gather(cols), code.word_order))
-    return code_from_words(code.ring, len(cols), projected, code.table)
+    return code_from_words(code.ring, len(cols), map(gather(cols), code.word_order), code.table)
 
 
 def coset_average(code: LinearCode, x: Sequence[int]) -> Fraction:

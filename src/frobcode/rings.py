@@ -17,7 +17,9 @@ concatenation, with no Python arithmetic per entry, so the int objects of
 a table are shared from one range rather than allocated once per entry.
 The identity of a product or matrix ring is moved onto index 1 while its
 rows are made.  The units are read off the rows of the multiplication
-table.
+table.  Negation is not tabulated: the radical's quasi-regularity test,
+stated with 1 - y, reads 1 + y instead, since each left ideal is closed
+under negation.
 
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
@@ -406,7 +408,8 @@ class Ring:
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
     character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
     (one walk over the unit orbits) and ``radical`` (read off it) are
-    computed on first use and kept on the ring.
+    computed on first use and kept on the ring.  There is no negation
+    table: -x is the column of 0 in row x of ``add_table``.
     """
 
     spec: RingSpec
@@ -414,7 +417,6 @@ class Ring:
     size: int
     add_table: tuple[tuple[int, ...], ...]
     mul_table: tuple[tuple[int, ...], ...]
-    neg_table: tuple[int, ...]
     units: frozenset[int]
     add_exponent: int
     char_exp: tuple[int, ...]
@@ -459,15 +461,15 @@ class Ring:
     def radical(self) -> frozenset[int]:
         """Jacobson radical by the quasi-regularity test, per principal ideal.
 
-        x is in the radical iff 1 - y is invertible for every y in Rx.  In
-        a finite ring one-sided inverses are two-sided, so unit membership
-        suffices.
+        x is in the radical iff 1 - y is invertible for every y in Rx, and
+        Rx = -Rx, so iff 1 + y is.  In a finite ring one-sided inverses are
+        two-sided, so unit membership suffices.
         """
         if "radical" not in self._facts:
-            one_minus, neg, units = self.add_table[1], self.neg_table, self.units
+            one_plus, units = self.add_table[1], self.units
             self._facts["radical"] = frozenset([0]).union(*(
                 gens for members, gens in self.principal_left_ideals.items()
-                if all(one_minus[neg[y]] in units for y in members)
+                if all(one_plus[y] in units for y in members)
             ))
         return self._facts["radical"]
 
@@ -511,7 +513,7 @@ class Ideal:
 
 # -- constructor kernels ----------------------------------------------------
 #
-# Each kernel returns (names, add, mul, neg, add_exponent, char_exp) with the
+# Each kernel returns (names, add, mul, add_exponent, char_exp) with the
 # multiplicative identity on index 1 and every row of add and mul a tuple,
 # made by slices, ``gather`` and list concatenation only.  A product or matrix
 # ring, whose identity has another raw index ``one``, swaps the labels 1 and
@@ -582,9 +584,9 @@ def _kron(left, right, one: int = 1) -> list[tuple[int, ...]]:
     return _swap(_kron_rows(left, right, one), one)
 
 
-def _kron_vec(left, right, one: int = 1) -> tuple[int, ...]:
+def _kron_vec(left, right) -> tuple[int, ...]:
     """The map (a, b) -> (left[a], right[b]) on indices a * |right| + b."""
-    return _kron_rows([left], [right], one)[0]
+    return _kron_rows([left], [right], 1)[0]
 
 
 def _build_zm(m: int):
@@ -593,8 +595,7 @@ def _build_zm(m: int):
     add = [wrapped[a:a + m] for a in range(m)]
     # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
     mul = [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
-    neg = (0,) + residues[:0:-1]
-    return list(map(str, residues)), add, mul, neg, m, residues
+    return list(map(str, residues)), add, mul, m, residues
 
 
 def _times(images: Sequence[int], add, p: int) -> tuple[int, ...]:
@@ -639,12 +640,10 @@ def _build_gf(p: int, k: int):
     prime = _build_zm(p)
     if k == 1:
         return prime  # GF(p) is Z_p, on the same indices
-    _, zp_add, _, zp_neg, _, _ = prime
     size = p ** k
     names = ["".join(map(str, _digits(v, p, k))) for v in range(size)]
     # coefficient vectors add digit by digit: the k-fold combination of Z_p
-    add = reduce(_kron, [zp_add] * k)
-    neg = reduce(_kron_vec, [zp_neg] * k)
+    add = reduce(_kron, [prime[1]] * k)
 
     # row a of mul is exp[log a + log b] over b != 0: a gather of the exp
     # table from offset log a
@@ -665,7 +664,7 @@ def _build_gf(p: int, k: int):
         total = tuple(map(getitem, gather(total)(add), power))
     if max(total) >= p:
         raise CharacterError(f"the trace of GF({p}^{k}) left the prime field")
-    return names, add, mul, neg, p, total
+    return names, add, mul, p, total
 
 
 def _build_mat(n: int, inner: Ring):
@@ -679,12 +678,7 @@ def _build_mat(n: int, inner: Ring):
     names = ["[" + ";".join(inner.element_names[e] for e in ent) + "]" for ent in entries]
 
     vadd = reduce(_kron, [inner.add_table] * n)  # row vectors
-    vneg = reduce(_kron_vec, [inner.neg_table] * n)
-    if n > 1:
-        add = _kron(reduce(_kron, [vadd] * (n - 1)), vadd, one)
-        neg = _kron_vec(reduce(_kron_vec, [vneg] * (n - 1)), vneg, one)
-    else:
-        add, neg = vadd, vneg
+    add = _kron(reduce(_kron, [vadd] * (n - 1)), vadd, one) if n > 1 else vadd
 
     # scaled[x][w] = x * w for x in S and a row vector w
     scaled = [reduce(_kron_vec, [row] * n) for row in inner.mul_table]
@@ -721,7 +715,7 @@ def _build_mat(n: int, inner: Ring):
         for x in diagonal(a):
             tr = inner_add[tr][x]
         char.append(inner.char_exp[tr])
-    return _swap(names, one), add, _swap(mul, one), neg, inner.add_exponent, _swap(char, one)
+    return _swap(names, one), add, _swap(mul, one), inner.add_exponent, _swap(char, one)
 
 
 def _build_prod(left: Ring, right: Ring):
@@ -729,7 +723,6 @@ def _build_prod(left: Ring, right: Ring):
     names = [f"{a}|{b}" for a in left.element_names for b in right.element_names]
     add = _kron(left.add_table, right.add_table, one)
     mul = _kron(left.mul_table, right.mul_table, one)
-    neg = _kron_vec(left.neg_table, right.neg_table, one)
 
     n_left, n_right = left.add_exponent, right.add_exponent
     n = lcm(n_left, n_right)
@@ -737,7 +730,7 @@ def _build_prod(left: Ring, right: Ring):
         ((n // n_left) * a + (n // n_right) * b) % n
         for a in left.char_exp for b in right.char_exp
     ]
-    return _swap(names, one), add, mul, neg, n, _swap(char, one)
+    return _swap(names, one), add, mul, n, _swap(char, one)
 
 
 def _build_chain(q: int, fld: Ring):
@@ -746,7 +739,6 @@ def _build_chain(q: int, fld: Ring):
     fnames, fadd, fmul = fld.element_names, fld.add_table, fld.mul_table
     names = [f"{fnames[a]}+{fnames[b]}u" for b in range(q) for a in range(q)]
     add = _kron(fadd, fadd)
-    neg = _kron_vec(fld.neg_table, fld.neg_table)
     char = [fld.char_exp[fadd[a][b]] for b in range(q) for a in range(q)]
     # (a + bu)(c + du) = (a + bu)c + (ad)u: over each d, the products
     # (a + bu)c gathered out of the add row of (ad)u
@@ -758,7 +750,7 @@ def _build_chain(q: int, fld: Ring):
             for ad in fmul[a]:
                 row += pick(add[q * ad])
             mul.append(tuple(row))
-    return names, add, mul, neg, fld.add_exponent, char
+    return names, add, mul, fld.add_exponent, char
 
 
 def _build(spec: RingSpec) -> Ring:
@@ -776,14 +768,13 @@ def _build(spec: RingSpec) -> Ring:
     else:
         raise RingSpecError(f"unknown ring spec {spec!r}")
 
-    names, add, mul, neg, n_exp, char = parts
+    names, add, mul, n_exp, char = parts
     return Ring(
         spec=spec,
         name=canonical_ring_name(spec),
         size=len(names),
         add_table=tuple(add),
         mul_table=tuple(mul),
-        neg_table=tuple(neg),
         units=frozenset(u for u, row in enumerate(mul) if 1 in row),
         add_exponent=n_exp,
         char_exp=tuple(char),

@@ -69,13 +69,12 @@ def ring_specs(draw, budget=64):
 
 def reference_tables(spec) -> dict:
     """The tables of the ring ``spec`` (a spec object), entry by entry."""
-    names, add, mul, neg, n_exp, char, one = _reference_parts(spec)
-    names, add, mul, neg, char = _relabel_identity(one, names, add, mul, neg, char)
+    names, add, mul, n_exp, char, one = _reference_parts(spec)
+    names, add, mul, char = _relabel_identity(one, names, add, mul, char)
     return {
         "size": len(names),
         "add_table": tuple(tuple(row) for row in add),
         "mul_table": tuple(tuple(row) for row in mul),
-        "neg_table": tuple(neg),
         "units": frozenset(u for u, row in enumerate(mul) if 1 in row),
         "add_exponent": n_exp,
         "char_exp": tuple(char),
@@ -111,8 +110,7 @@ def _ref_zm(m):
     names = [str(a) for a in range(m)]
     add = [[(a + b) % m for b in range(m)] for a in range(m)]
     mul = [[(a * b) % m for b in range(m)] for a in range(m)]
-    neg = [(-a) % m for a in range(m)]
-    return names, add, mul, neg, m, list(range(m)), 1
+    return names, add, mul, m, list(range(m)), 1
 
 
 def _poly_mul(a, b, p):
@@ -146,7 +144,6 @@ def _ref_gf(p, k):
     size = p ** k
     names = ["".join(str(d) for d in _digits(v, p, k)) for v in range(size)]
     add = reduce(_kron, [[[(a + b) % p for b in range(p)] for a in range(p)]] * k)
-    neg = reduce(_kron_vec, [[(-a) % p for a in range(p)]] * k)
     exp = _ref_primitive_powers(p, k, _smallest_irreducible(p, k))
     log = [0] * size
     for i, x in enumerate(exp):
@@ -173,7 +170,7 @@ def _ref_gf(p, k):
         digs = _digits(total, p, k)
         assert not any(digs[1:])
         char.append(digs[0])
-    return names, add, mul, neg, p, char, 1
+    return names, add, mul, p, char, 1
 
 
 def _ref_mat(n, inner):
@@ -184,7 +181,6 @@ def _ref_mat(n, inner):
     names = ["[" + ";".join(inner["element_names"][e] for e in ent) + "]" for ent in entries]
     vadd = reduce(_kron, [inner["add_table"]] * n)
     add = reduce(_kron, [vadd] * n)
-    neg = reduce(_kron_vec, [inner["neg_table"]] * (n * n))
     scaled = [reduce(_kron_vec, [row] * n) for row in inner["mul_table"]]
     rowprod = []
     for v in range(m):
@@ -204,7 +200,7 @@ def _ref_mat(n, inner):
             tr = inner["add_table"][tr][a[r * n + r]]
         char.append(inner["char_exp"][tr])
     one = sum(s ** (r * n + r) for r in range(n))
-    return names, add, mul, neg, inner["add_exponent"], char, one
+    return names, add, mul, inner["add_exponent"], char, one
 
 
 def _ref_prod(left, right):
@@ -213,14 +209,13 @@ def _ref_prod(left, right):
     names = [f"{left['element_names'][a]}|{right['element_names'][b]}" for a, b in pairs]
     add = _kron(left["add_table"], right["add_table"])
     mul = _kron(left["mul_table"], right["mul_table"])
-    neg = _kron_vec(left["neg_table"], right["neg_table"])
     n_left, n_right = left["add_exponent"], right["add_exponent"]
     n = lcm(n_left, n_right)
     char = [
         ((n // n_left) * left["char_exp"][a] + (n // n_right) * right["char_exp"][b]) % n
         for a, b in pairs
     ]
-    return names, add, mul, neg, n, char, bs + 1
+    return names, add, mul, n, char, bs + 1
 
 
 def _ref_chain(q, fld):
@@ -232,14 +227,13 @@ def _ref_chain(q, fld):
         [fmul[a][c] + q * fadd[fmul[a][d]][fmul[b][c]] for c, d in pairs]
         for a, b in pairs
     ]
-    neg = _kron_vec(fld["neg_table"], fld["neg_table"])
     char = [fld["char_exp"][fadd[a][b]] for a, b in pairs]
-    return names, add, mul, neg, fld["add_exponent"], char, 1
+    return names, add, mul, fld["add_exponent"], char, 1
 
 
-def _relabel_identity(one, names, add, mul, neg, char):
+def _relabel_identity(one, names, add, mul, char):
     if one == 1:
-        return names, add, mul, neg, char
+        return names, add, mul, char
     perm = list(range(len(names)))
     perm[1], perm[one] = one, 1
 
@@ -249,5 +243,4 @@ def _relabel_identity(one, names, add, mul, neg, char):
 
     add = swap([swap([perm[x] for x in row]) for row in add])
     mul = swap([swap([perm[x] for x in row]) for row in mul])
-    neg = swap([perm[x] for x in neg])
-    return swap(list(names)), add, mul, neg, swap(list(char))
+    return swap(list(names)), add, mul, swap(list(char))

@@ -246,7 +246,7 @@ def _two_generated_codes(r, t, max_n):
                 if words in seen:
                     continue
                 seen.add(words)
-                yield fc.code_from_words(r, n, words, t, generators=(g1, g2))
+                yield fc.build_code(r, (g1, g2), t)
 
 
 def _check_lemmas(code):

@@ -118,6 +118,25 @@ def test_entry_out_of_range():
         z4_code([(1, 7)])
 
 
+def test_code_from_words_checks_word_length():
+    # a word of length 3 in a code of length 2 would weigh 2 - 3 = -1
+    with pytest.raises(ValueError, match="unequal lengths"):
+        fc.code_from_words(ring("Z4"), 2, [(0, 0, 0)], table("Z4"))
+
+
+def test_code_from_words_checks_entries():
+    # Z17 words are tuples: 20 would index past the end of its tables
+    with pytest.raises(ValueError, match="entry 20 outside the ring of size 17"):
+        fc.code_from_words(ring("Z17"), 2, [(0, 0), (20, 20)], table("Z17"))
+    with pytest.raises(ValueError, match="entry 7 outside the ring of size 4"):
+        fc.code_from_words(ring("Z4"), 2, [(0, 0), (7, 0)], table("Z4"))
+
+
+def test_code_from_words_refuses_a_set_that_is_not_a_submodule():
+    with pytest.raises(ValueError, match="not closed"):
+        fc.code_from_words(ring("Z4"), 2, [(0, 0), (1, 0)], table("Z4"))
+
+
 @pytest.mark.parametrize("other", ["GF(4)", "Z2"])
 def test_weight_table_of_another_ring_is_refused(other):
     # GF(4) has four elements, so its table would read as a wrong weight
@@ -329,6 +348,43 @@ def test_size_factors_through_shorten_and_residual():
     small = z4_code([(1, 2, 3), (0, 2, 2)])
     for s in [set(), {1}, {2, 3}, {1, 3}]:
         assert small.size == fc.shorten(small, s).size * fc.residual(small, s).size
+
+
+def word_support(w):
+    return {i + 1 for i, c in enumerate(w) if c}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(ring_specs(), st.data())
+def test_derived_codes_match_their_per_word_definitions(drawn, data):
+    # rings of up to 64 elements: packed words up to 16, tuples above
+    r, t = ring(drawn[0]), table(drawn[0])
+    k = data.draw(st.integers(1, 3 if r.size <= 16 else 2))
+    n = data.draw(st.integers(0, 6))
+    word = st.tuples(*[st.integers(0, r.size - 1)] * n)
+    code = fc.build_code(r, data.draw(st.lists(word, min_size=k, max_size=k)), t)
+    # S as a position set, a codeword or any word
+    position_set = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: {i for i, b in enumerate(bits, 1) if b})
+    s = data.draw(position_set | st.sampled_from(code.word_order) | word)
+    positions = s if isinstance(s, set) else word_support(s)
+    kept = sorted(positions)
+    outside = [i for i in range(1, n + 1) if i not in positions]
+    inside = [w for w in code.word_order if word_support(w) <= positions]
+
+    def project(words, cols):
+        return {tuple(w[i - 1] for i in cols) for w in words}
+
+    cases = [
+        (fc.shorten(code, s), n, set(inside)),
+        (fc.shorten(code, s, compact=True), len(kept), project(inside, kept)),
+        (fc.residual(code, s), len(outside), project(code.word_order, outside)),
+    ]
+    for derived, length, words in cases:
+        assert derived.n == length
+        assert derived.word_order == tuple(sorted(words))
+        assert derived.support == set().union(*map(word_support, words))
+        assert set(derived.generators) <= derived.words
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def grouping_reference(r):
 
 
 def radical_reference(r):
-    add, mul, neg = r.add_table, r.mul_table, r.neg_table
+    add, mul = r.add_table, r.mul_table
+    neg = [row.index(0) for row in add]
     return frozenset(
         x for x in range(r.size)
         if all(add[1][neg[mul[s][x]]] in r.units for s in range(r.size))
