@@ -115,10 +115,11 @@ def max_cyclic_size(code: LinearCode, incomplete_support_only: bool = False) -> 
     """Largest size of a cyclic submodule Rc over codewords c.
 
     Each |Rc| comes from ``LinearCode.cyclic_sizes``, which reads it off
-    the set of values of c.  With ``incomplete_support_only`` the
-    maximum runs over words whose support misses at least one coordinate.
-    The zero word counts among them (with R0 of size 1), so the result is
-    1 when no nonzero word has incomplete support.
+    the set of unit-orbit classes that c meets.  With
+    ``incomplete_support_only`` the maximum runs over words whose support
+    misses at least one coordinate.  The zero word counts among them (with
+    R0 of size 1), so the result is 1 when no nonzero word has incomplete
+    support.
     """
     sizes = code.cyclic_sizes
     if incomplete_support_only:

@@ -10,12 +10,14 @@ Words are tuples of element indices in the public interface, and the
 per-word helpers index the ring's operation tables directly.  While a
 code over a ring of at most 16 elements is enumerated, its words are
 packed as bytes: addition and scaling are ``bytes.translate`` calls
-through tables kept on the ring.  A code gathers its per-word facts
-(Hamming weights, weight sums, value sets) in one pass over the packed
-words before they become tuples, and reads each word's |Rc| once.  Its
-support is read off its generator rows.  A derived (shortened or
-residual) code packs and sorts its words once, and its generators are
-picked greedily from them by the same enumeration.
+through tables kept on the ring.  A word's weight and |Rc| depend only
+on the classes it meets, the right unit orbits xU cut by weight, so each
+ring keeps one class map per weight table.  A code gathers its per-word
+facts (Hamming weights, weight sums, class sets) before its words become
+tuples, translating each packed word into class indices once, and reads
+|Rc| once per class set.  Its support is read off its generator rows.  A
+derived (shortened or residual) code packs and sorts its words once, and
+its generators are picked greedily from them by the same enumeration.
 Weight sums use the table's integer numerators over its one denominator
 and return a ``Fraction`` only at the end.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import getitem
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,26 +72,28 @@ def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
 # Element indices of a ring of at most PACK_LIMIT elements fit in 4 bits, so
 # its words are enumerated as bytes, and a pair of indices is one byte.
 PACK_LIMIT = 16
-# A packed word at least this many times as long as the number of nonzero
-# weights is read by counting each value: its weight sum by bytes.count, its
-# set of values by membership tests, which run at C speed.  A shorter word is
-# read per coordinate, which costs less than a call per value.
-_COUNT_RATIO = 8
 
 
-def _counts_values(ring: Ring, table: HomWeightTable, n: int) -> bool:
-    """Whether the packed words of length n are read by counting each value."""
-    return ring.size <= PACK_LIMIT and n >= _COUNT_RATIO * sum(map(bool, table.numerators))
+def _orbit_classes(ring: Ring, table: HomWeightTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class of each element as the bit 1 << k of its class k, and the
+    smallest member of each class.
 
-
-def _weigher(table: HomWeightTable, counting: bool):
-    """The weight numerator of a word: by value counts (``counting``, packed
-    words only) or per coordinate."""
-    num = table.numerators
-    if counting:
-        terms = [(x, v) for x, v in enumerate(num) if v]
-        return lambda w: sum([v * w.count(x) for x, v in terms])
-    return lambda w: sum([num[c] for c in w])
+    A class is a right unit orbit xU cut by weight, so the weight is
+    constant on it for any table, and so is ann_l, as ann_l(xu) = ann_l(x).
+    Classes are numbered in index order of their smallest member, so {0}
+    is class 0.  A set of classes is the sum of their bits.  Computed once
+    per weight table and kept on the ring.
+    """
+    key = ("classes", table.numerators)
+    if key not in ring._facts:
+        num, mul, units = table.numerators, ring.mul_table, ring.units
+        cls, reps = {}, []
+        for x in range(ring.size):
+            if x not in cls:
+                cls.update((y, len(reps)) for y in {mul[x][u] for u in units} if num[y] == num[x])
+                reps.append(x)
+        ring._facts[key] = (tuple(1 << cls[x] for x in range(ring.size)), tuple(reps))
+    return ring._facts[key]
 
 
 class LinearCode:
@@ -99,10 +104,15 @@ class LinearCode:
     derived ones) used wherever a tie-break is needed.  Over a ring of at
     most ``PACK_LIMIT`` elements the words may be given packed as bytes;
     the per-word facts are read from the packed words, and ``word_order``
-    holds them as tuples.  ``hamming_weights`` and ``cyclic_sizes`` are
-    aligned with ``word_order``.  The ``generators`` must generate
-    ``word_order``: the support is read off them, as coordinate i vanishes
-    on the code exactly when it vanishes on every generator.
+    holds them as tuples.  Each word's Hamming weight, weight numerator
+    and set of classes (an int bitmask, see ``_orbit_classes``) are read
+    when the code is made, and its |Rc| from the set of classes.  A packed
+    word is translated into class indices once, then read by one count or
+    membership test per class, at any length.  ``hamming_weights``
+    and ``cyclic_sizes`` are aligned with ``word_order``.  The
+    ``generators`` must generate ``word_order``: the support is read off
+    them, as coordinate i vanishes on the code exactly when it vanishes on
+    every generator.
     """
 
     def __init__(
@@ -120,65 +130,65 @@ class LinearCode:
         self.table = table
         self.n = n
         self.generators = generators
-        packed = ring.size <= PACK_LIMIT
-        words = [bytes(w) for w in word_order] if packed else word_order
-        self.hamming_weights = [n - w.count(0) for w in words]
         self.support = frozenset(i for i, col in enumerate(zip(*generators), 1) if any(col))
         self.ell_C = len(self.support)
-        self.min_hamming = min(filter(None, self.hamming_weights), default=None)
-        counting = _counts_values(ring, table, n)
-        weigh = _weigher(table, counting)
-        least = min((weigh(w) for w, h in zip(words, self.hamming_weights) if h), default=None)
-        self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
-        # value sets of long packed words, read once by cyclic_sizes; the
-        # other codes take theirs from the tuples
-        self._value_sets = None
-        if counting:
-            elements = range(ring.size)
-            self._value_sets = [frozenset([x for x in elements if x in w]) for w in words]
-        del words
-        # a list is unpacked in place, so each packed word is freed as its
-        # tuple is made
+        # a list is unpacked in place below, so each packed word is freed as
+        # its tuple is made
         order = word_order if isinstance(word_order, list) else list(word_order)
+        self.hamming_weights = [n - w.count(0) for w in order]
+        bits, reps = self._classes = _orbit_classes(ring, table)
+        num = table.numerators
+        if ring.size <= PACK_LIMIT:
+            # each packed word is translated once into class indices, and each
+            # class is then read by one count or one membership test at C speed
+            to_classes = bytes(b.bit_length() - 1 for b in bits) + bytes(256 - ring.size)
+            terms = [(k, num[x], 1 << k) for k, x in enumerate(reps)]
+            words = [bytes(w).translate(to_classes) for w in order]
+            weights = (sum([v * w.count(k) for k, v, _ in terms if v]) for w in words)
+            self._masks = [sum([bit for k, _, bit in terms if k in w]) for w in words]
+            del words
+        else:
+            weights = (sum([num[x] for x in w]) for w in order)
+            self._masks = [sum({bits[x] for x in set(w)}) for w in order]
+        least = min(compress(weights, self.hamming_weights), default=None)
+        del weights
+        self.min_hamming = min(filter(None, self.hamming_weights), default=None)
+        self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
         for i, w in enumerate(order):
             order[i] = tuple(w)
         self.word_order = tuple(order)
         self.words = frozenset(self.word_order)
         self.size = len(self.words)
-        # {value set of a word: |Rc|} and the per-word list read from it,
-        # filled on first use; plain fields for the reason given on Ring._facts
-        self._sizes_by_values: dict[frozenset[int], int] = {}
+        # {class mask: |Rc|} and the per-word list read from it, filled on
+        # first use; plain fields for the reason given on Ring._facts
+        self._sizes_by_mask: dict[int, int] = {}
         self._cyclic_sizes: list[int] | None = None
 
-    def _values_cyclic_size(self, values: frozenset[int]) -> int:
-        """|RV| for a set V of ring elements, one ``cyclic_span`` per unit orbit {uV}."""
-        if values not in self._sizes_by_values:
-            ring = self.ring
-            size = len(cyclic_span(ring, values))
-            self._sizes_by_values.update(
-                (frozenset(scale_word(ring, u, values)), size) for u in ring.units)
-        return self._sizes_by_values[values]
+    def _mask_cyclic_size(self, mask: int) -> int:
+        """|Rc| for the words c that meet the classes of ``mask``."""
+        if mask not in self._sizes_by_mask:
+            members = [x for k, x in enumerate(self._classes[1]) if mask >> k & 1]
+            self._sizes_by_mask[mask] = len(cyclic_span(self.ring, members))
+        return self._sizes_by_mask[mask]
 
     def cyclic_size(self, c: Sequence[int]) -> int:
         """|Rc|, the size of the cyclic submodule of the codeword ``c``.
 
-        rc = r'c exactly when rx = r'x for every value x of c, so |Rc| =
-        |RV| for the set V of values of c.  R(uV) = RV for every unit u, so
-        one ``cyclic_span`` over V serves its whole unit orbit of value sets.
+        rc = r'c exactly when (r - r')x = 0 for every value x of c, so |Rc|
+        is |R| over the size of the meet of the ann_l(x).  As ann_l(xu) =
+        ann_l(x) for a unit u, |Rc| = |RV| for V one member of each class
+        that c meets, and one ``cyclic_span`` serves every word that meets
+        the same classes.
         """
         if tuple(c) not in self.words:
             raise ValueError("word is not in the code")
-        return self._values_cyclic_size(frozenset(c))
+        return self._mask_cyclic_size(sum({self._classes[0][x] for x in set(c)}))
 
     @property
     def cyclic_sizes(self) -> list[int]:
         """|Rc| for each word c of ``word_order``, as ``cyclic_size`` reads it."""
         if self._cyclic_sizes is None:
-            values = self._value_sets
-            if values is None:
-                values = map(frozenset, self.word_order)
-            self._cyclic_sizes = list(map(self._values_cyclic_size, values))
-            self._value_sets = None
+            self._cyclic_sizes = list(map(self._mask_cyclic_size, self._masks))
         return self._cyclic_sizes
 
     def __contains__(self, word: Sequence[int]) -> bool:
@@ -217,13 +227,15 @@ def build_code(
     The message space R^k is swept in lexicographic index order; words are
     deduplicated on first appearance, which fixes ``word_order``.  The
     sweep covers |R|^k messages of n coordinates each, so ``SweepCapError``
-    is raised when |R|^k * n exceeds ``message_cap``.
+    is raised when |R|^k * n exceeds ``message_cap``.  At least one row is
+    needed: it fixes the length n.
     """
     rows = tuple(tuple(r) for r in rows)
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
+    if not rows:
+        raise ValueError("no generator rows")
+    n = len(rows[0])
     _check_rows(ring, rows, n)
-    _check_sweep(ring, k, n, message_cap)
+    _check_sweep(ring, len(rows), n, message_cap)
     if table is None:
         table = hom_weight_table(ring)
     # Level i holds the distinct partial sums of the first i rows, in the
@@ -282,10 +294,18 @@ def code_from_words(
     their values do), which fixes ``word_order``.  A word outside the span
     of the smaller ones becomes a generator, and the span of the generators
     must be the input: it must be closed under addition and left scaling.
-    Each word must have n entries, each an element of the ring.
+    The zero code's one generator is the zero row, so ``build_code`` remakes
+    it at length n.  Each word must have n entries, each an element of the
+    ring; the distinct words are checked once packed, and a word that
+    cannot be packed is checked on its own.
     """
-    pack = _packer(ring)
-    packed = {pack(w) for w in words}
+    pack, packed = _packer(ring), set()
+    try:
+        for w in words:
+            packed.add(pack(w))
+    except ValueError:  # bytes() refuses an entry outside 0..255; name it
+        _check_rows(ring, [w], n)
+        raise
     _check_rows(ring, packed, n)
     order = sorted(packed)
     span = {pack((0,) * n): None}
@@ -297,7 +317,7 @@ def code_from_words(
     if span.keys() != packed:
         raise ValueError("word set is not closed under the module operations")
     del packed, span  # the words live on only in order, unpacked there in place
-    return LinearCode(ring, n, tuple(gens), order, table)
+    return LinearCode(ring, n, tuple(gens) or ((0,) * n,), order, table)
 
 
 def _as_positions(code: LinearCode, s) -> frozenset[int]:
@@ -375,30 +395,23 @@ def min_hamming_word_structure(
 ) -> tuple[int, dict[int, int]]:
     """Decompose a minimum-Hamming-weight word as c_i = alpha * u_i.
 
-    Returns alpha and a map from 1-based support positions to units; the
-    found alpha additionally satisfies |R alpha| = |Rc|.  Raises
+    Returns alpha and a map from 1-based support positions to the smallest
+    such units; alpha is the smallest member of the right unit orbit of the
+    first nonzero entry, the only orbit every c_i can lie in, and also
+    satisfies |R alpha| = |Rc|.  Raises
     ``DecompositionError`` when no decomposition exists, which signals
     that ``c`` was not of minimum Hamming weight (or an internal fault).
     """
     ring = code.ring
-    c = tuple(c)
     cyclic_size = code.cyclic_size(c)
-    positions = sorted(support(c))
-    descending = sorted(ring.units, reverse=True)
-    for alpha in range(ring.size):
-        row = ring.mul_table[alpha]
-        # {alpha * u: the smallest such unit u}
-        smallest = {row[u]: u for u in descending}
-        units_at: dict[int, int] = {}
-        for i in positions:
-            unit = smallest.get(c[i - 1])
-            if unit is None:
-                break
-            units_at[i] = unit
-        else:
-            if len(principal_ideal(ring, alpha).members) == cyclic_size:
-                return alpha, units_at
-    raise DecompositionError("no scaled-unit decomposition; word is not minimum-Hamming")
+    # the zero word has no nonzero entry, and alpha = 0
+    alpha = min(ring.mul_table[next((x for x in c if x), 0)][u] for u in ring.units)
+    # {alpha * u: the smallest such unit u}
+    smallest = {ring.mul_table[alpha][u]: u for u in sorted(ring.units, reverse=True)}
+    units_at = {i: smallest.get(x) for i, x in enumerate(c, 1) if x}
+    if None in units_at.values() or len(principal_ideal(ring, alpha).members) != cyclic_size:
+        raise DecompositionError("no scaled-unit decomposition; word is not minimum-Hamming")
+    return alpha, units_at
 
 
 # ---------------------------------------------------------------------------

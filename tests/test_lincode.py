@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from frobcode.lincode import _counts_values, _weigher, scale_word, word_add
+from frobcode.lincode import _orbit_classes, scale_word, word_add
 from helpers import ring, ring_specs, table
 
 F = Fraction
@@ -130,6 +130,12 @@ def test_code_from_words_checks_entries():
         fc.code_from_words(ring("Z17"), 2, [(0, 0), (20, 20)], table("Z17"))
     with pytest.raises(ValueError, match="entry 7 outside the ring of size 4"):
         fc.code_from_words(ring("Z4"), 2, [(0, 0), (7, 0)], table("Z4"))
+    # Z4 words are packed as bytes, which cannot hold -1 or 300: the message
+    # still names the entry
+    with pytest.raises(ValueError, match="entry -1 outside the ring of size 4"):
+        fc.code_from_words(ring("Z4"), 2, [(0, 0), (0, -1)], table("Z4"))
+    with pytest.raises(ValueError, match="entry 300 outside the ring of size 4"):
+        fc.code_from_words(ring("Z4"), 2, [(0, 0), (0, 300)], table("Z4"))
 
 
 def test_code_from_words_refuses_a_set_that_is_not_a_submodule():
@@ -176,6 +182,24 @@ def test_length_zero_code():
     assert code.n == 0
     assert code.size == 1
     assert code.min_hom_norm is None
+
+
+def test_build_code_needs_a_row():
+    with pytest.raises(ValueError, match="no generator rows"):
+        fc.build_code(ring("Z4"), [], table("Z4"))
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z17"])
+def test_zero_code_rebuilds_at_its_length(spec):
+    # packed and tuple words: a zero code's one generator is the zero row
+    r, t = ring(spec), table(spec)
+    code = fc.build_code(r, [(1, 2, 0, 0)], t)
+    shortened, projected = fc.shorten(code, set()), fc.residual(code, {1, 2})
+    assert (shortened.n, projected.n) == (4, 2)
+    for zero in (shortened, projected):
+        assert zero.generators == ((0,) * zero.n,)
+        again = fc.build_code(r, zero.generators, t)
+        assert (again.n, again.word_order) == (zero.n, zero.word_order)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +264,68 @@ def test_byte_tables_need_at_most_16_elements():
         ring("Z17").byte_tables
 
 
-@pytest.mark.parametrize("spec, m", [("Z4", 4), ("GF(16)", 2), ("M2(GF(2))", 2)])
-def test_counted_weight_sums_average_to_the_effective_length(spec, m):
-    # a second method for the count route: sum over C of w(c)/gamma = |C| ell(C)
+# ---------------------------------------------------------------------------
+# Per-word facts through the class map, against their per-word definitions
+# ---------------------------------------------------------------------------
+
+def check_per_word_facts(code, sample=1):
+    """Hamming weights, the minimum weight and every ``sample``-th |Rc|."""
+    r, t = code.ring, code.table
+    assert code.hamming_weights == [fc.ell(w) for w in code.word_order]
+    weights = [sum((t.norm_weight[x] for x in w), F(0)) for w in code.word_order if any(w)]
+    assert code.min_hom_norm == min(weights, default=None)
+    for w, size in list(zip(code.word_order, code.cyclic_sizes))[::sample]:
+        assert size == code.cyclic_size(w) == len(fc.cyclic_span(r, w))
+
+
+@pytest.mark.parametrize("spec, m", [("Z4", 4), ("GF(16)", 2), ("M2(GF(2))", 2), ("CHAIN(5)", 1)])
+def test_weight_sums_average_to_the_effective_length(spec, m):
+    # a second method for weights read by class: sum over C of w(c)/gamma =
+    # |C| ell(C), with each entry weighed as the least member of its class
     r, t = ring(spec), table(spec)
     code = fc.simplex(r, m, t)
-    assert _counts_values(r, t, code.n)
-    counted = sum(map(_weigher(t, True), map(bytes, code.word_order)))
+    bits, reps = _orbit_classes(r, t)
+    by_class = [t.numerators[reps[b.bit_length() - 1]] for b in bits]
+    read = sum(by_class[c] for w in code.word_order for c in w)
     per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
-    assert counted == per_coordinate == code.size * code.ell_C * t.denominator
-    # the value sets read by membership tests, against frozenset(c)
-    assert code.cyclic_sizes == [code.cyclic_size(w) for w in code.word_order]
+    assert read == per_coordinate == code.size * code.ell_C * t.denominator
+    check_per_word_facts(code)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z9", "GF(16)", "M2(GF(2))", "Z25", "GF(27)"])
+def test_classes_are_unit_orbits_cut_by_weight(spec):
+    r, t = ring(spec), table(spec)
+    bits, reps = _orbit_classes(r, t)
+    assert _orbit_classes(r, t) is r._facts[("classes", t.numerators)]
+    classes = [b.bit_length() - 1 for b in bits]
+    assert classes[0] == 0 and list(reps) == sorted(reps) and bits == tuple(1 << k for k in classes)
+    for x in range(r.size):
+        assert reps[classes[x]] == min(y for y in range(r.size) if classes[y] == classes[x])
+        orbit = {r.mul(x, u) for u in r.units}
+        assert {y for y in range(r.size) if classes[y] == classes[x]} == {
+            y for y in orbit if t.numerators[y] == t.numerators[x]}
+
+
+@pytest.mark.parametrize("spec", ["Z5", "GF(9)", "Z19"])
+def test_per_word_facts_under_weights_not_constant_on_unit_orbits(spec):
+    # the units of these rings form one orbit, cut here by weight: a class
+    # map of whole orbits would count 1 and 2 at one weight
+    r = ring(spec)
+    odd = fc.HomWeightTable(ring=r, gamma=F(1), norm_weight=tuple(
+        F(0) if x == 0 else F(x % 3 + 1, 2) for x in range(r.size)))
+    assert len(_orbit_classes(r, odd)[1]) == 4
+    rng = random.Random(spec)
+    for k, n in [(1, 3), (2, 5), (1, 40)]:
+        code = fc.build_code(r, random_rows(rng, r, k, n), odd)
+        check_per_word_facts(code)
+
+
+def test_per_word_facts_on_512_classes():
+    # one unit, so every element is its own class: the masks have 512 bits
+    spec = "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"
+    code = fc.simplex(ring(spec), 1, table(spec))
+    assert len(_orbit_classes(ring(spec), table(spec))[1]) == 512
+    check_per_word_facts(code, sample=17)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -258,15 +333,13 @@ def test_counted_weight_sums_average_to_the_effective_length(spec, m):
 def test_per_word_lists_match_the_per_word_facts(drawn, data):
     r = ring(drawn[0])
     k = data.draw(st.integers(1, 2 if r.size <= 16 else 1))
-    # packed words this short are read per coordinate, and words of 120 or
-    # more by value counts over every ring of at most 16 elements
+    # short and long words, read through the class map alike: packed words
+    # by class counts, tuples per coordinate
     n = data.draw(st.integers(1, 8) | st.integers(120, 130))
     row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
     code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)))
     assert len(code.hamming_weights) == len(code.cyclic_sizes) == code.size
-    for w, h, size in zip(code.word_order, code.hamming_weights, code.cyclic_sizes):
-        assert h == fc.ell(w)
-        assert size == code.cyclic_size(w) == len(fc.cyclic_span(r, w))
+    check_per_word_facts(code)
 
 
 def test_closure_exhaustive():
@@ -522,6 +595,44 @@ def test_structure_fails_on_non_minimal_word():
     assert code.min_hamming == 1  # attained by (2, 0)
     with pytest.raises(fc.DecompositionError):
         fc.min_hamming_word_structure(code, (1, 2))
+
+
+def alpha_scan(code, c):
+    """The decomposition by trying every alpha in index order."""
+    r = code.ring
+    cyclic_size = code.cyclic_size(c)
+    descending = sorted(r.units, reverse=True)
+    for alpha in range(r.size):
+        smallest = {r.mul(alpha, u): u for u in descending}
+        units_at = {}
+        for i in sorted(word_support(c)):
+            if c[i - 1] not in smallest:
+                break
+            units_at[i] = smallest[c[i - 1]]
+        else:
+            if len(fc.cyclic_span(r, (alpha,))) == cyclic_size:
+                return alpha, units_at
+    raise fc.DecompositionError
+
+
+def decomposition(find, code, c):
+    try:
+        return find(code, c)
+    except fc.DecompositionError:
+        return "no decomposition"
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(ring_specs(), st.data())
+def test_structure_matches_the_alpha_scan(drawn, data):
+    r = ring(drawn[0])
+    k = data.draw(st.integers(1, 2 if r.size <= 16 else 1))
+    n = data.draw(st.integers(0, 5))
+    row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+    code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)), table(drawn[0]))
+    for c in code.word_order:
+        assert (decomposition(fc.min_hamming_word_structure, code, c)
+                == decomposition(alpha_scan, code, c))
 
 
 # ---------------------------------------------------------------------------
