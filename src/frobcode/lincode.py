@@ -8,28 +8,33 @@ normalised homogeneous weight) is exact.  Coordinate positions are
 
 Words are tuples of element indices in the public interface, and the
 per-word helpers index the ring's operation tables directly.  While a
-code over a ring of at most 16 elements is enumerated, its words are
-packed as bytes: addition and scaling are ``bytes.translate`` calls
-through tables kept on the ring.  A word's weight and |Rc| depend only
-on the classes it meets, the right unit orbits xU cut by weight, so each
-ring keeps one class map per weight table.  A code gathers its per-word
-facts (Hamming weights, weight sums, class sets) before its words become
-tuples, translating each packed word into class indices once, and reads
-|Rc| once per class set.  Its support is read off its generator rows.  A
-derived (shortened or residual) code packs and sorts its words once, and
-its generators are picked greedily from them by the same enumeration.
-Weight sums use the table's integer numerators over its one denominator
-and return a ``Fraction`` only at the end.
+code over a ring of at most 256 elements is enumerated, its words are
+packed as bytes, one byte per coordinate: addition and scaling are
+``bytes.translate`` calls through tables kept on the ring.  Up to 16
+elements a level of the enumeration is extended word by word through a
+table of pairs; above, column by column.  A word's |Rc| depends only on
+the classes it meets, the right unit orbits xU cut by weight, so each
+ring keeps one class map per weight table, with a memo of |Rc| by set of
+classes that every code over the ring and table shares.  A code gathers
+its per-word facts (Hamming weights, weight sums, class sets) before its
+words become tuples, translating each packed word into class indices
+and into indices of weight values, and reads |Rc| once per class set.
+Its support is read off its generator rows.  A derived (shortened or
+residual) code packs and sorts its words once, and its generators are
+picked greedily from them by the same enumeration.  Weight sums use the
+table's integer numerators over its one denominator and return a
+``Fraction`` only at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from mmap import mmap
 from operator import getitem
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
 from .rings import Ring, gather, parse_element, principal_ideal
@@ -69,20 +74,26 @@ def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
     return tuple([row[c] for c in word])
 
 
-# Element indices of a ring of at most PACK_LIMIT elements fit in 4 bits, so
-# its words are enumerated as bytes, and a pair of indices is one byte.
+# Element indices of a ring of at most 256 elements fit in a byte, so its words
+# are enumerated as bytes, one byte per coordinate.  Up to PACK_LIMIT elements
+# a pair of indices fits in one byte too, and a level is extended word by word
+# through the pair table; above, column by column.
 PACK_LIMIT = 16
 
 
-def _orbit_classes(ring: Ring, table: HomWeightTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The class of each element as the bit 1 << k of its class k, and the
-    smallest member of each class.
+def _orbit_classes(
+    ring: Ring, table: HomWeightTable
+) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """The class of each element as the bit 1 << k of its class k, the
+    smallest member of each class, and a memo {set of classes: |Rc|}.
 
     A class is a right unit orbit xU cut by weight, so the weight is
     constant on it for any table, and so is ann_l, as ann_l(xu) = ann_l(x).
     Classes are numbered in index order of their smallest member, so {0}
     is class 0.  A set of classes is the sum of their bits.  Computed once
-    per weight table and kept on the ring.
+    per weight table and kept on the ring, so every code over the ring and
+    table (shortened, residual and chain codes too) shares the memo, which
+    ``LinearCode`` fills on first use.
     """
     key = ("classes", table.numerators)
     if key not in ring._facts:
@@ -92,7 +103,7 @@ def _orbit_classes(ring: Ring, table: HomWeightTable) -> tuple[tuple[int, ...], 
             if x not in cls:
                 cls.update((y, len(reps)) for y in {mul[x][u] for u in units} if num[y] == num[x])
                 reps.append(x)
-        ring._facts[key] = (tuple(1 << cls[x] for x in range(ring.size)), tuple(reps))
+        ring._facts[key] = (tuple(1 << cls[x] for x in range(ring.size)), tuple(reps), {})
     return ring._facts[key]
 
 
@@ -102,13 +113,15 @@ class LinearCode:
     Immutable after construction.  ``word_order`` fixes a deterministic
     iteration order (message order for generated codes, sorted order for
     derived ones) used wherever a tie-break is needed.  Over a ring of at
-    most ``PACK_LIMIT`` elements the words may be given packed as bytes;
-    the per-word facts are read from the packed words, and ``word_order``
-    holds them as tuples.  Each word's Hamming weight, weight numerator
-    and set of classes (an int bitmask, see ``_orbit_classes``) are read
-    when the code is made, and its |Rc| from the set of classes.  A packed
-    word is translated into class indices once, then read by one count or
-    membership test per class, at any length.  ``hamming_weights``
+    most 256 elements the words are given packed as bytes, one byte per
+    coordinate; the per-word facts are read from the packed words, and
+    ``word_order`` holds them as tuples.  Each word's Hamming weight, weight
+    numerator and set of classes (an int bitmask, see ``_orbit_classes``)
+    are read when the code is made, and its |Rc| from the set of classes
+    through the ring's memo.  A packed word is translated into class
+    indices (at most 256 classes, so one byte each), read by one membership
+    test per class, and into indices of weight values, read by one count
+    per value, at any length.  ``hamming_weights``
     and ``cyclic_sizes`` are aligned with ``word_order``.  The
     ``generators`` must generate ``word_order``: the support is read off
     them, as coordinate i vanishes on the code exactly when it vanishes on
@@ -136,17 +149,23 @@ class LinearCode:
         # its tuple is made
         order = word_order if isinstance(word_order, list) else list(word_order)
         self.hamming_weights = [n - w.count(0) for w in order]
-        bits, reps = self._classes = _orbit_classes(ring, table)
+        bits, reps, _ = self._classes = _orbit_classes(ring, table)
         num = table.numerators
-        if ring.size <= PACK_LIMIT:
-            # each packed word is translated once into class indices, and each
-            # class is then read by one count or one membership test at C speed
-            to_classes = bytes(b.bit_length() - 1 for b in bits) + bytes(256 - ring.size)
-            terms = [(k, num[x], 1 << k) for k, x in enumerate(reps)]
-            words = [bytes(w).translate(to_classes) for w in order]
-            weights = (sum([v * w.count(k) for k, v, _ in terms if v]) for w in words)
-            self._masks = [sum([bit for k, _, bit in terms if k in w]) for w in words]
-            del words
+        if _packer(ring) is bytes:
+            # a packed word is translated into class indices, each class then
+            # read by one membership test, and into indices of weight values,
+            # each value then read by one count, all at C speed; a translation
+            # is dropped as soon as it is read, so none are held at once
+            pad = bytes(256 - ring.size)
+            to_classes = bytes(b.bit_length() - 1 for b in bits) + pad
+            values = sorted(set(num))
+            to_values = bytes(values.index(v) for v in num) + pad
+            class_bits = [(k, 1 << k) for k in range(len(reps))]
+            value_terms = [(i, v) for i, v in enumerate(values) if v]
+            self._masks = [sum([bit for k, bit in class_bits if k in w])
+                           for w in map(bytes.translate, order, repeat(to_classes))]
+            weights = (sum([v * w.count(i) for i, v in value_terms])
+                       for w in map(bytes.translate, order, repeat(to_values)))
         else:
             weights = (sum([num[x] for x in w]) for w in order)
             self._masks = [sum({bits[x] for x in set(w)}) for w in order]
@@ -159,17 +178,16 @@ class LinearCode:
         self.word_order = tuple(order)
         self.words = frozenset(self.word_order)
         self.size = len(self.words)
-        # {class mask: |Rc|} and the per-word list read from it, filled on
-        # first use; plain fields for the reason given on Ring._facts
-        self._sizes_by_mask: dict[int, int] = {}
+        # the per-word list read from the ring's memo, filled on first use; a
+        # plain field for the reason given on Ring._facts
         self._cyclic_sizes: list[int] | None = None
 
     def _mask_cyclic_size(self, mask: int) -> int:
         """|Rc| for the words c that meet the classes of ``mask``."""
-        if mask not in self._sizes_by_mask:
-            members = [x for k, x in enumerate(self._classes[1]) if mask >> k & 1]
-            self._sizes_by_mask[mask] = len(cyclic_span(self.ring, members))
-        return self._sizes_by_mask[mask]
+        _, reps, sizes = self._classes
+        if mask not in sizes:
+            sizes[mask] = len(cyclic_span(self.ring, [x for k, x in enumerate(reps) if mask >> k & 1]))
+        return sizes[mask]
 
     def cyclic_size(self, c: Sequence[int]) -> int:
         """|Rc|, the size of the cyclic submodule of the codeword ``c``.
@@ -259,30 +277,45 @@ def _check_rows(ring: Ring, rows: Iterable[Sequence[int]], n: int) -> None:
 
 
 def _packer(ring: Ring):
-    """The word type of enumeration: bytes up to ``PACK_LIMIT`` elements, else tuple."""
-    return bytes if ring.size <= PACK_LIMIT else tuple
+    """The word type of enumeration: bytes up to 256 elements, else tuple."""
+    return bytes if ring.size <= 256 else tuple
 
 
-def _extend_level(ring: Ring, level: Iterable, row) -> dict:
+def _extend_level(ring: Ring, level: Collection, row) -> dict:
     """The distinct words w + r*row, for w in ``level`` and r in R, as dict keys.
 
     They come in sweep order (w outer, r inner), one addition per pair.
     Dropping a repeated word keeps the order of a message sweep, since its
     extensions already appeared under its first copy.  Words and ``row``
-    are of the ``_packer`` type.  A packed sum shifts w by 4 bits, so each
-    byte holds a << 4 | b, and one translate through the pair table adds
-    every coordinate.
+    are of the ``_packer`` type.  A one-word level is the zero word, whose
+    extensions are the multiples of ``row``.  Up to ``PACK_LIMIT`` elements
+    a packed sum shifts w by 4 bits, so each byte holds a << 4 | b, and one
+    translate through the pair table adds every coordinate.  Above, column
+    j of the level is translated once per r through the table of
+    +r*row[j], and written into word r of every w by one strided slice of a
+    flat buffer that holds the next level, word after word.
     """
-    if ring.size > PACK_LIMIT:
+    if ring.size > 256:
         scaled = [scale_word(ring, r, row) for r in range(ring.size)]
         return dict.fromkeys(word_add(ring, w, s) for w in level for s in scaled)
     add, mul = ring.byte_tables
+    if len(level) == 1:
+        return dict.fromkeys(row.translate(m) for m in mul)
     n = len(row)
-    scaled = [int.from_bytes(row.translate(m), "big") for m in mul]
-    return dict.fromkeys(
-        (high | s).to_bytes(n, "big").translate(add)
-        for high in (int.from_bytes(w, "big") << 4 for w in level) for s in scaled
-    )
+    if ring.size <= PACK_LIMIT:
+        scaled = [int.from_bytes(row.translate(m), "big") for m in mul]
+        return dict.fromkeys(
+            (high | s).to_bytes(n, "big").translate(add)
+            for high in (int.from_bytes(w, "big") << 4 for w in level) for s in scaled
+        )
+    flat, stride = b"".join(level), n * ring.size
+    # an anonymous map, whose slices are bytes: the words need no copy of it
+    with mmap(-1, len(flat) * ring.size) as out:
+        for j, g in enumerate(row):
+            column = flat[j::n]
+            for r, m in enumerate(mul):
+                out[r * n + j::stride] = column.translate(add[m[g]])
+        return dict.fromkeys(out[i:i + n] for i in range(0, len(out), n))
 
 
 def code_from_words(
@@ -425,12 +458,15 @@ def read_generator_rows(path: str | Path, ring: Ring) -> tuple[Word, ...]:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     rows: list[Word] = []
+    # element names are kept as parse_element normalises them, so a token
+    # found among them needs no parsing; parse_element reads or names the rest
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
         try:
-            rows.append(tuple(parse_element(ring, tok) for tok in line.split()))
+            row = tuple(map(ring._name_index.get, tokens))
+            rows.append(tuple(parse_element(ring, tok) for tok in tokens) if None in row else row)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:

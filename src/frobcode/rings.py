@@ -474,21 +474,23 @@ class Ring:
         return self._facts["radical"]
 
     @property
-    def byte_tables(self) -> tuple[bytes, tuple[bytes, ...]]:
+    def byte_tables(self) -> tuple[bytes | tuple[bytes, ...], tuple[bytes, ...]]:
         """Addition and multiplication as ``bytes.translate`` tables.
 
-        Only for rings of at most 16 elements, whose indices fit in 4 bits:
-        ``add[a << 4 | b]`` is a + b, and ``mul[r][c]`` is rc.  Entries
-        outside the ring are 0.
+        Only for rings of at most 256 elements, whose indices fit in a
+        byte.  ``mul[r][c]`` is rc.  Up to 16 elements, whose indices fit in
+        4 bits, ``add`` is one pair table: ``add[a << 4 | b]`` is a + b.
+        Above, ``add[s][x]`` is x + s, one table per addend.  Entries outside
+        the ring are 0.
         """
         if "bytes" not in self._facts:
-            if self.size > 16:
-                raise ValueError(f"{self.name} has more than 16 elements")
-            add = bytearray(256)
-            for a, row in enumerate(self.add_table):
-                add[a << 4:(a << 4) + self.size] = bytes(row)
+            if self.size > 256:
+                raise ValueError(f"{self.name} has more than 256 elements")
             pad = bytes(256 - self.size)
-            self._facts["bytes"] = (bytes(add), tuple(bytes(row) + pad for row in self.mul_table))
+            add = tuple(bytes(row) + pad for row in self.add_table)
+            if self.size <= 16:
+                add = b"".join(row[:16] for row in add).ljust(256, b"\0")
+            self._facts["bytes"] = (add, tuple(bytes(row) + pad for row in self.mul_table))
         return self._facts["bytes"]
 
     def __repr__(self) -> str:

@@ -125,7 +125,10 @@ def test_code_from_words_checks_word_length():
 
 
 def test_code_from_words_checks_entries():
-    # Z17 words are tuples: 20 would index past the end of its tables
+    # GF(257) words are tuples: 300 would index past the end of its tables
+    with pytest.raises(ValueError, match="entry 300 outside the ring of size 257"):
+        fc.code_from_words(ring("GF(257)"), 2, [(0, 0), (300, 300)], table("GF(257)"))
+    # Z17 words are bytes, which hold 20: it is refused once packed
     with pytest.raises(ValueError, match="entry 20 outside the ring of size 17"):
         fc.code_from_words(ring("Z17"), 2, [(0, 0), (20, 20)], table("Z17"))
     with pytest.raises(ValueError, match="entry 7 outside the ring of size 4"):
@@ -189,9 +192,10 @@ def test_build_code_needs_a_row():
         fc.build_code(ring("Z4"), [], table("Z4"))
 
 
-@pytest.mark.parametrize("spec", ["Z4", "Z17"])
+@pytest.mark.parametrize("spec", ["Z4", "Z17", "GF(257)"])
 def test_zero_code_rebuilds_at_its_length(spec):
-    # packed and tuple words: a zero code's one generator is the zero row
+    # words packed in pairs, in bytes and in tuples: a zero code's one
+    # generator is the zero row
     r, t = ring(spec), table(spec)
     code = fc.build_code(r, [(1, 2, 0, 0)], t)
     shortened, projected = fc.shorten(code, set()), fc.residual(code, {1, 2})
@@ -203,12 +207,12 @@ def test_zero_code_rebuilds_at_its_length(spec):
 
 
 # ---------------------------------------------------------------------------
-# Packed words (rings of at most 16 elements) against the tuple kernels
+# Packed words (rings of at most 256 elements) against the tuple kernels
 # ---------------------------------------------------------------------------
 
 def tuple_sweep(r, rows, n):
-    # the level sweep over tuples: one word_add per extended prefix, each
-    # level deduplicated on first appearance
+    # the reference enumeration, the level sweep over tuples: one word_add
+    # per extended prefix, each level deduplicated on first appearance
     level = [(0,) * n]
     for row in rows:
         scaled = [scale_word(r, a, row) for a in range(r.size)]
@@ -217,18 +221,22 @@ def tuple_sweep(r, rows, n):
 
 
 @st.composite
-def generator_rows(draw, size):
-    """1-3 rows of length 0-8, each fresh, zero or a repeat of an earlier one."""
+def generator_rows(draw, r, max_rows=3):
+    """1 to ``max_rows`` rows of length 0-8 over the ring ``r``, each fresh,
+    zero, or a repeat or left multiple of an earlier one."""
     n = draw(st.integers(0, 8))
     rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["fresh", "zero", "repeat"] if rows else ["fresh", "zero"]))
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "multiple"] if rows else ["fresh", "zero"]))
         if kind == "fresh":
-            rows.append(tuple(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))))
+            rows.append(tuple(draw(st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n))))
         elif kind == "zero":
             rows.append((0,) * n)
-        else:
+        elif kind == "repeat":
             rows.append(draw(st.sampled_from(rows)))
+        else:
+            a = draw(st.integers(0, r.size - 1))
+            rows.append(scale_word(r, a, draw(st.sampled_from(rows))))
     return rows
 
 
@@ -237,7 +245,7 @@ def generator_rows(draw, size):
 @given(st.sampled_from(["GF(16)", "Z16", "CHAIN(4)", "Z2xZ8", "Z17"]), st.data())
 def test_build_code_matches_the_tuple_sweep(spec, data):
     r, t = ring(spec), table(spec)
-    rows = data.draw(generator_rows(r.size))
+    rows = data.draw(generator_rows(r))
     n = len(rows[0])
     code = fc.build_code(r, rows, t)
     order = tuple_sweep(r, rows, n)
@@ -249,19 +257,82 @@ def test_build_code_matches_the_tuple_sweep(spec, data):
     assert code.support == {i + 1 for w in order for i, c in enumerate(w) if c}
 
 
-@pytest.mark.parametrize("spec", ["Z2", "Z4", "GF(8)", "GF(16)", "M2(GF(2))", "Z2xZ8"])
+@pytest.mark.parametrize(
+    "spec", ["Z2", "Z4", "GF(8)", "GF(16)", "M2(GF(2))", "Z2xZ8", "Z17", "CHAIN(9)", "M2(GF(4))"])
 def test_byte_tables_are_the_operation_tables(spec):
+    # one pair table up to 16 elements, then one table per addend
     r = ring(spec)
     add, mul = r.byte_tables
     assert r.byte_tables is r.byte_tables  # built once per ring
+    assert all(len(m) == 256 for m in mul) and len(mul) == r.size
     for a in range(r.size):
         for b in range(r.size):
-            assert add[a << 4 | b] == r.add(a, b) and mul[a][b] == r.mul(a, b)
+            total = add[a << 4 | b] if r.size <= 16 else add[b][a]
+            assert total == r.add(a, b) and mul[a][b] == r.mul(a, b)
 
 
-def test_byte_tables_need_at_most_16_elements():
-    with pytest.raises(ValueError, match="more than 16"):
-        ring("Z17").byte_tables
+def test_byte_tables_need_at_most_256_elements():
+    assert len(ring("GF(256)").byte_tables[0]) == 256
+    with pytest.raises(ValueError, match="more than 256"):
+        ring("GF(257)").byte_tables
+
+
+def check_against_the_tuple_reference(code, rows):
+    """``word_order``, the per-word facts and the derived codes of a code
+    built from ``rows``, against the tuple sweep and per-word definitions;
+    over more than 64 elements |Rc| is checked on every 5th word."""
+    r, n = code.ring, code.n
+    sample = 1 if r.size <= 64 else 5
+    order = tuple_sweep(r, rows, n)
+    assert code.word_order == order
+    check_per_word_facts(code, sample)
+    for s in [set(range(1, n + 1, 2)), fc.support(order[-1])]:
+        inside = [w for w in order if fc.support(w) <= s]
+        cols = [i - 1 for i in sorted(s)]
+        rest = [i for i in range(n) if i + 1 not in s]
+        expected = [
+            (fc.shorten(code, s), inside),
+            (fc.shorten(code, s, compact=True), [tuple(w[i] for i in cols) for w in inside]),
+            (fc.residual(code, s), [tuple(w[i] for i in rest) for w in order]),
+        ]
+        for derived, words in expected:
+            assert derived.word_order == tuple(sorted(set(words)))
+            assert set(tuple_sweep(r, derived.generators, derived.n)) == derived.words
+            check_per_word_facts(derived, sample)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(ring_specs(256).filter(lambda drawn: drawn[1] >= 17), st.data())
+def test_byte_words_match_the_tuple_reference(drawn, data):
+    # rings of 17-256 elements: words of one byte per coordinate, each level
+    # built column by column
+    r = ring(drawn[0])
+    rows = data.draw(generator_rows(r, max_rows=2 if r.size <= 32 else 1))
+    check_against_the_tuple_reference(fc.build_code(r, rows, table(drawn[0])), rows)
+
+
+# the top of the pair table, the first and last rings of one byte per
+# coordinate (M2(GF(4)) not commutative, Z2^8 with 256 classes), and the
+# first ring left on tuples
+BOUNDARY_SPECS = ["GF(16)", "Z17", "GF(256)", "M2(GF(4))", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "GF(257)"]
+
+
+@pytest.mark.parametrize("spec", BOUNDARY_SPECS)
+def test_boundary_rings_match_the_tuple_reference(spec):
+    r, t = ring(spec), table(spec)
+    rng = random.Random(spec)
+    u = rng.choice(sorted(set(range(r.size)) - r.units - {0}) or [0])
+    row = tuple(rng.randrange(r.size) for _ in range(5))
+    # a fresh row, a zero row, a row repeated, and a non-unit multiple, over
+    # which the level collapses
+    for rows in [[row], [row, (0,) * 5], [row, row], [row, scale_word(r, u, row)]]:
+        check_against_the_tuple_reference(fc.build_code(r, rows, t), rows)
+    for rows in [[()], [(), ()], [(0,) * 4, (0,) * 4]]:
+        code = fc.build_code(r, rows, t)
+        assert code.word_order == ((0,) * len(rows[0]),)
+        check_against_the_tuple_reference(code, rows)
+    with pytest.raises(ValueError, match="not closed"):
+        fc.code_from_words(r, 2, [(0, 0), (1, 0)], t)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +355,7 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
     # |C| ell(C), with each entry weighed as the least member of its class
     r, t = ring(spec), table(spec)
     code = fc.simplex(r, m, t)
-    bits, reps = _orbit_classes(r, t)
+    bits, reps, _ = _orbit_classes(r, t)
     by_class = [t.numerators[reps[b.bit_length() - 1]] for b in bits]
     read = sum(by_class[c] for w in code.word_order for c in w)
     per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
@@ -295,7 +366,7 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
 @pytest.mark.parametrize("spec", ["Z4", "Z9", "GF(16)", "M2(GF(2))", "Z25", "GF(27)"])
 def test_classes_are_unit_orbits_cut_by_weight(spec):
     r, t = ring(spec), table(spec)
-    bits, reps = _orbit_classes(r, t)
+    bits, reps, _ = _orbit_classes(r, t)
     assert _orbit_classes(r, t) is r._facts[("classes", t.numerators)]
     classes = [b.bit_length() - 1 for b in bits]
     assert classes[0] == 0 and list(reps) == sorted(reps) and bits == tuple(1 << k for k in classes)
@@ -326,6 +397,24 @@ def test_per_word_facts_on_512_classes():
     code = fc.simplex(ring(spec), 1, table(spec))
     assert len(_orbit_classes(ring(spec), table(spec))[1]) == 512
     check_per_word_facts(code, sample=17)
+
+
+def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
+    # a ring of its own, so its memo starts empty: a code and its shortened
+    # and residual codes span each set of classes once between them
+    r = fc.build_ring(fc.parse_ring_spec("CHAIN(3)"))
+    t = fc.hom_weight_table(r)
+    spans, span = [], fc.lincode.cyclic_span
+    monkeypatch.setattr(fc.lincode, "cyclic_span", lambda r, v: spans.append(tuple(v)) or span(r, v))
+    code = fc.hjelmslev_line(r, t)
+    c = code.word_order[-1]
+    _, reps, sizes = _orbit_classes(r, t)
+    for shared in [code, fc.shorten(code, c), fc.shorten(code, c, compact=True), fc.residual(code, c)]:
+        check_per_word_facts(shared)
+        assert shared._classes[2] is sizes
+    assert len(spans) == len(set(spans)) == len(sizes) > 1
+    for mask, size in sizes.items():
+        assert size == len(span(r, [x for k, x in enumerate(reps) if mask >> k & 1]))
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -651,6 +740,20 @@ def test_generator_file_comments_and_blanks(tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("# header\n\n1 2 3  # trailing comment\n0 2 2\n")
     assert fc.read_generator_rows(path, ring("Z4")) == ((1, 2, 3), (0, 2, 2))
+
+
+def test_generator_file_names_the_line_of_an_unknown_token(tmp_path):
+    # tokens found among the element names skip parse_element; the others
+    # are parsed, or refused with their line
+    path = tmp_path / "gen.txt"
+    path.write_text("# ring: Z4\n1 2 3\n\n0 2 x  # comment\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: 'x' is not an element literal of Z4$"):
+        fc.read_generator_rows(path, ring("Z4"))
+    path.write_text("[1; 0;0;1]\n")  # spaces split the literal into unknown tokens
+    with pytest.raises(ValueError, match=r":1: '\[1;' is not an element literal"):
+        fc.read_generator_rows(path, ring("M2(GF(2))"))
+    path.write_text("0+1U 1+0u\n")  # not a stored name, but parse_element reads it
+    assert fc.read_generator_rows(path, ring("CHAIN(2)")) == ((2, 1),)
 
 
 def test_generator_file_errors(tmp_path):
