@@ -1,10 +1,13 @@
 """Command-line front-end.
 
 Subcommands: ring info, weight, code analyze, bounds check,
-family {simplex,octacode,hjelmslev}, chain.  ``--json`` switches the
-report-producing commands to machine-readable output with rationals
-serialised as "p/q" strings.  Exit codes: 0 success, 1 usage or input
-errors, 2 when an applicable bound report comes back violated.
+family {simplex,octacode,hjelmslev}, chain.  Each subcommand is one entry
+of ``_COMMANDS`` (its words, help line, options and handler), each option
+is declared once, in ``_OPTIONS``, and ``build_parser`` makes the parser
+from the two.  ``--json`` switches the report-producing commands to
+machine-readable output with rationals serialised as "p/q" strings.  Exit
+codes: 0 success, 1 usage or input errors, 2 when an applicable bound
+report comes back violated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .families import (
     residual_chain,
     simplex,
 )
-from .homweight import hom_weight_table
+from .homweight import HomWeightTable, hom_weight_table
 from .lincode import LinearCode, build_code, ell, read_generator_rows, write_generator_file
 from .rings import DEFAULT_CAP, Ring, build_ring, parse_ring_spec
 
@@ -37,15 +40,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _side(value) -> object:
-    if value is None:
-        return None
     if isinstance(value, Fraction):
-        return _frac(value)
+        return f"{value.numerator}/{value.denominator}"
     return value
 
 
@@ -95,11 +92,15 @@ def _gamma(text: str) -> Fraction:
     return gamma
 
 
-def _load_code(args) -> LinearCode:
+def _table(args) -> HomWeightTable:
+    # the ring, then --gamma: an error names the first of the two that fails
     ring = _ring(args.ring)
-    table = hom_weight_table(ring, _gamma(args.gamma))
-    rows = read_generator_rows(args.gen, ring)
-    return build_code(ring, rows, table)
+    return hom_weight_table(ring, _gamma(args.gamma))
+
+
+def _load_code(args) -> LinearCode:
+    table = _table(args)
+    return build_code(table.ring, read_generator_rows(args.gen, table.ring), table)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +108,12 @@ def _load_code(args) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def code_params_json(code: LinearCode) -> dict:
-    d = code.min_hom_norm
     return {
         "n": code.n,
         "M": code.size,
         "ell_C": code.ell_C,
         "min_hamming": code.min_hamming,
-        "d_over_gamma": _frac(d) if d is not None else None,
+        "d_over_gamma": _side(code.min_hom_norm),
     }
 
 
@@ -148,13 +148,12 @@ def _verdict_json(reports: list[BoundReport]) -> dict:
 def chain_json(code: LinearCode, chain: ResidualChain) -> dict:
     stages = []
     for index, stage in enumerate(chain.stages):
-        d = stage.code.min_hom_norm
         stages.append(
             {
                 "index": index,
                 "n": stage.code.n,
                 "M": stage.code.size,
-                "d_over_gamma": _frac(d) if d is not None else None,
+                "d_over_gamma": _side(stage.code.min_hom_norm),
                 "word": (
                     [code.ring.element_names[c] for c in stage.word]
                     if stage.word is not None
@@ -250,10 +249,9 @@ def _cmd_ring_info(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    ring = _ring(args.ring)
-    table = hom_weight_table(ring, _gamma(args.gamma))
-    for x in range(ring.size):
-        print(f"{ring.element_names[x]}: {table.weight(x)}")
+    table = _table(args)
+    for x, name in enumerate(table.ring.element_names):
+        print(f"{name}: {table.weight(x)}")
     return 0
 
 
@@ -277,7 +275,16 @@ def _cmd_bounds_check(args) -> int:
     return _bounds_exit(reports)
 
 
-def _family_output(args, family: str, code: LinearCode, extra: dict) -> int:
+def _cmd_family(args) -> int:
+    family, extra = args.family_command, {}
+    if family == "octacode":
+        code = octacode()
+    else:
+        table = _table(args)
+        if family == "simplex":
+            code, extra = simplex(table.ring, args.m, table), {"m": args.m}
+        else:
+            code = hjelmslev_line(table.ring, table)
     if args.emit_gen:
         write_generator_file(args.emit_gen, code.ring, code.generators)
     reports = check_all(code)
@@ -289,25 +296,6 @@ def _family_output(args, family: str, code: LinearCode, extra: dict) -> int:
         _print_params(code)
         _print_bounds(reports)
     return _bounds_exit(reports)
-
-
-def _cmd_family_simplex(args) -> int:
-    ring = _ring(args.ring)
-    table = hom_weight_table(ring, _gamma(args.gamma))
-    code = simplex(ring, args.m, table)
-    return _family_output(args, "simplex", code, {"m": args.m})
-
-
-def _cmd_family_octacode(args) -> int:
-    code = octacode()
-    return _family_output(args, "octacode", code, {})
-
-
-def _cmd_family_hjelmslev(args) -> int:
-    ring = _ring(args.ring)
-    table = hom_weight_table(ring, _gamma(args.gamma))
-    code = hjelmslev_line(ring, table)
-    return _family_output(args, "hjelmslev", code, {})
 
 
 def _cmd_chain(args) -> int:
@@ -325,78 +313,50 @@ def _cmd_chain(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_ring(p, required=True):
-    p.add_argument("--ring", required=required, help="ring spec, e.g. Z4, GF(9), M2(GF(2)), Z2xZ3, CHAIN(2)")
+_OPTIONS = {
+    "--ring": dict(required=True, help="ring spec, e.g. Z4, GF(9), M2(GF(2)), Z2xZ3, CHAIN(2)"),
+    "--gen": dict(required=True, help="generator matrix file"),
+    "-m": dict(type=int, required=True, help="number of generator rows"),
+    "--gamma": dict(default="1", help="average weight value as p/q (default 1)"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--emit-gen": dict(help="write the generator matrix to a file"),
+}
 
+# the help line of each first word that groups subcommands
+_GROUPS = {
+    "ring": "ring-level queries",
+    "code": "code-level queries",
+    "bounds": "bound evaluation",
+    "family": "built-in code families",
+}
 
-def _add_gamma(p):
-    p.add_argument("--gamma", default="1", help="average weight value as p/q (default 1)")
+# (words, help line, options in help order, handler), in help order
+_COMMANDS = (
+    ("ring info", "size, units and additive exponent", "--ring", _cmd_ring_info),
+    ("weight", "print the exact homogeneous weight table", "--ring --gamma", _cmd_weight),
+    ("code analyze", "parameters of a generated code as JSON", "--ring --gen --gamma", _cmd_code_analyze),
+    ("bounds check", "evaluate every bound on a code", "--ring --gen --gamma --json", _cmd_bounds_check),
+    ("family simplex", "simplex code over a ring", "--ring -m --gamma --json --emit-gen", _cmd_family),
+    ("family octacode", "the quaternary Octacode", "--json --emit-gen", _cmd_family),
+    ("family hjelmslev", "projective Hjelmslev line code", "--ring --gamma --json --emit-gen", _cmd_family),
+    ("chain", "residual-chain certificate of a code", "--ring --gen --gamma --json", _cmd_chain),
+)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobcode", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"frobcode {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ring = sub.add_parser("ring", help="ring-level queries")
-    ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    info = ring_sub.add_parser("info", help="size, units and additive exponent")
-    _add_ring(info)
-    info.set_defaults(func=_cmd_ring_info)
-
-    weight = sub.add_parser("weight", help="print the exact homogeneous weight table")
-    _add_ring(weight)
-    _add_gamma(weight)
-    weight.set_defaults(func=_cmd_weight)
-
-    code = sub.add_parser("code", help="code-level queries")
-    code_sub = code.add_subparsers(dest="code_command", required=True)
-    analyze = code_sub.add_parser("analyze", help="parameters of a generated code as JSON")
-    _add_ring(analyze)
-    analyze.add_argument("--gen", required=True, help="generator matrix file")
-    _add_gamma(analyze)
-    analyze.set_defaults(func=_cmd_code_analyze)
-
-    bounds = sub.add_parser("bounds", help="bound evaluation")
-    bounds_sub = bounds.add_subparsers(dest="bounds_command", required=True)
-    bcheck = bounds_sub.add_parser("check", help="evaluate every bound on a code")
-    _add_ring(bcheck)
-    bcheck.add_argument("--gen", required=True, help="generator matrix file")
-    _add_gamma(bcheck)
-    bcheck.add_argument("--json", action="store_true", help="machine-readable output")
-    bcheck.set_defaults(func=_cmd_bounds_check)
-
-    family = sub.add_parser("family", help="built-in code families")
-    family_sub = family.add_subparsers(dest="family_command", required=True)
-
-    fsimp = family_sub.add_parser("simplex", help="simplex code over a ring")
-    _add_ring(fsimp)
-    fsimp.add_argument("-m", type=int, required=True, help="number of generator rows")
-    _add_gamma(fsimp)
-    fsimp.add_argument("--json", action="store_true")
-    fsimp.add_argument("--emit-gen", help="write the generator matrix to a file")
-    fsimp.set_defaults(func=_cmd_family_simplex)
-
-    focta = family_sub.add_parser("octacode", help="the quaternary Octacode")
-    focta.add_argument("--json", action="store_true")
-    focta.add_argument("--emit-gen", help="write the generator matrix to a file")
-    focta.set_defaults(func=_cmd_family_octacode)
-
-    fhjelm = family_sub.add_parser("hjelmslev", help="projective Hjelmslev line code")
-    _add_ring(fhjelm)
-    _add_gamma(fhjelm)
-    fhjelm.add_argument("--json", action="store_true")
-    fhjelm.add_argument("--emit-gen", help="write the generator matrix to a file")
-    fhjelm.set_defaults(func=_cmd_family_hjelmslev)
-
-    chain = sub.add_parser("chain", help="residual-chain certificate of a code")
-    _add_ring(chain)
-    chain.add_argument("--gen", required=True, help="generator matrix file")
-    _add_gamma(chain)
-    chain.add_argument("--json", action="store_true")
-    chain.set_defaults(func=_cmd_chain)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, summary, options, handler in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subparsers:
+            parent = subparsers[""].add_parser(group, help=_GROUPS[group])
+            subparsers[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+        command = subparsers[group].add_parser(name, help=summary)
+        for flag in options.split():
+            command.add_argument(flag, **_OPTIONS[flag])
+        command.set_defaults(func=handler)
     return parser
 
 

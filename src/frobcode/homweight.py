@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rings import CharacterError, Ring, socle_local
+from .rings import CharacterError, Ring, _divmod_monic, socle_local
 
 
 class NonRationalSumError(ValueError):
@@ -56,20 +56,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             if any(rem):
                 raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
-
-
-def _divmod_monic(a: Sequence[int], monic: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (constant term first)."""
-    r, dm = list(a), len(monic) - 1
-    q = [0] * max(len(r) - dm, 0)
-    # cyclotomic polynomials are sparse: step only over the nonzero terms
-    terms = [(i, c) for i, c in enumerate(monic[:dm]) if c]
-    for shift in range(len(q) - 1, -1, -1):
-        coef = q[shift] = r[shift + dm]
-        if coef:
-            for i, c in terms:
-                r[shift + i] -= coef * c
-    return q, r[:dm]
 
 
 @dataclass(frozen=True, eq=False)

@@ -361,6 +361,7 @@ def _as_positions(code: LinearCode, s) -> frozenset[int]:
         word = tuple(s)
         if len(word) != code.n:
             raise ValueError(f"word length {len(word)} does not match code length {code.n}")
+        _check_rows(code.ring, [word], code.n)
         positions = support(word)
     if not positions <= frozenset(range(1, code.n + 1)):
         raise ValueError(f"positions {sorted(positions)} outside 1..{code.n}")
@@ -397,6 +398,7 @@ def coset_average(code: LinearCode, x: Sequence[int]) -> Fraction:
     x = tuple(x)
     if len(x) != code.n:
         raise ValueError(f"word length {len(x)} does not match code length {code.n}")
+    _check_rows(code.ring, [x], code.n)
     # shifted[i][y] is the weight numerator of x_i + y
     num, add = code.table.numerators, code.ring.add_table
     shifted = [[num[s] for s in add[a]] for a in x]

@@ -333,40 +333,34 @@ def _parse_term(
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p (dense little-endian coefficient tuples)
+# Polynomials (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
-    # mod is monic
-    r = list(a)
-    dm = len(mod) - 1
-    while len(r) > dm:
-        coef = r[-1] % p
+def _divmod_monic(a: Sequence[int], monic: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (constant term first)."""
+    r, dm = list(a), len(monic) - 1
+    q = [0] * max(len(r) - dm, 0)
+    # cyclotomic polynomials are sparse: step only over the nonzero terms
+    terms = [(i, c) for i, c in enumerate(monic[:dm]) if c]
+    for shift in range(len(q) - 1, -1, -1):
+        coef = q[shift] = r[shift + dm]
         if coef:
-            shift = len(r) - 1 - dm
-            for i, cm in enumerate(mod):
-                r[shift + i] = (r[shift + i] - coef * cm) % p
-        r.pop()
-    return _poly_trim(r)
+            for i, c in terms:
+                r[shift + i] -= coef * c
+    return q, r[:dm]
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    # monic poly of degree >= 1; trial division by all monic polys of
-    # degree 1..deg//2
+    # monic poly of degree >= 1 over F_p; trial division by all monic polys
+    # of degree 1..deg//2.  The divisors are monic, so the integer remainder
+    # reduced mod p is the remainder over F_p.
     deg = len(poly) - 1
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
         for code in range(p ** d):
             div = _digits(code, p, d) + (1,)
-            if not _poly_mod(poly, div, p):
+            if not any(c % p for c in _divmod_monic(poly, div)[1]):
                 return False
     return True
 

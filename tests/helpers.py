@@ -7,7 +7,7 @@ from math import lcm
 from hypothesis import strategies as st
 
 import frobcode as fc
-from frobcode.rings import _digits, _poly_mod, _prime_power, _smallest_irreducible, _undigits
+from frobcode.rings import _digits, _divmod_monic, _prime_power, _smallest_irreducible, _undigits
 
 # every ring exercised by the cross-checking suites
 SUITE_SPECS = (
@@ -131,10 +131,11 @@ def _ref_primitive_powers(p, k, modulus):
     for g in range(1, p ** k):
         poly, cur, powers = _digits(g, p, k), (1,), [1]
         while True:
-            cur = _poly_mod(_poly_mul(cur, poly, p), modulus, p)
-            if cur == (1,):
+            cur = [c % p for c in _divmod_monic(_poly_mul(cur, poly, p), modulus)[1]]
+            value = _undigits(cur, p)
+            if value == 1:
                 break
-            powers.append(_undigits(cur, p))
+            powers.append(value)
         if len(powers) == p ** k - 1:
             return powers
     raise AssertionError("no primitive element")

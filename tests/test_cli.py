@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
+from frobcode import cli
 from frobcode.cli import build_parser, main
-from helpers import ring, table
+from helpers import ring, ring_specs, table
 from test_acceptance import GOLDEN, GOLDEN_CASES
 
 
@@ -359,3 +365,93 @@ def test_violated_bound_sentinel():
     bad = BoundReport("averaging", (), True, 3, 2, False, False, "le", {})
     assert _bounds_exit([good]) == 0
     assert _bounds_exit([good, bad]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The CLI boundary, drawn from the command table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("words,options", [(w, o) for w, _, o, _ in cli._COMMANDS])
+def test_help_of_every_command_names_its_options(capsys, words, options):
+    code, out, err = run(capsys, *words.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: frobcode {words} ")
+    for flag in options.split():
+        assert f"{flag} " in out and "help" in cli._OPTIONS[flag]
+
+
+_BAD_SPECS = ["Q8", "Z", "Z1", "Z0", "GF(6)", "M2(GF(2)", "Z2xx", "", " ", "Z4)", "GF(2^0)",
+              "CHAIN(6)", "Z99999999999999", "M1(" * 300 + "Z2" + ")" * 300, "Z2xZ2\n"]
+_TOKENS = ["0", "1", "2", "3", "7", "-1", "+1", "11", "02", "[1;0;0;1]", "[1;0]", "1|0",
+           "0+1u", "1+u", "x", "\u00e9", "1e3", "00"]
+_GAMMAS = ["1", "2/3", "0.5", "1e-3", "3", "0", "-1/2", "x", "1/0", "", "1e4001", "1_0"]
+
+
+@st.composite
+def _mostly(draw, good, bad):
+    """A draw from ``good`` four times in five, else from ``bad``."""
+    return draw(bad if draw(st.integers(0, 4)) == 4 else good)
+
+
+@st.composite
+def gen_files(draw, names):
+    """Bytes of a generator file: rows of the ring's elements, or a defect."""
+    kind = draw(st.sampled_from(["rows"] * 5 + ["ragged", "unknown", "comments", "empty", "binary"]))
+    if kind == "empty":
+        return b""
+    if kind == "binary":
+        return draw(st.sampled_from([b"\xff\xfe", b"0 1\n\x80\n", b"\x00\x01"]))
+    tokens = st.sampled_from(names or _TOKENS)
+    n = draw(st.integers(1, 4))
+    rows = [[draw(tokens) for _ in range(n)] for _ in range(draw(st.integers(1, 2)))]
+    if kind == "ragged":
+        rows[-1].append(draw(tokens))
+    if kind == "unknown":
+        rows[0][-1] = draw(st.sampled_from(_TOKENS))
+    lines = [" ".join(row) + draw(st.sampled_from(["", "  # a row", "#"])) for row in rows]
+    if kind == "comments":
+        lines = ["# no rows before this", ""] + lines + ["   # trailing"]
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for one command-table entry, with drawn values, defects and a file."""
+    words, _, options, _ = draw(st.sampled_from(cli._COMMANDS))
+    spec = draw(_mostly(ring_specs(16).map(lambda drawn: drawn[0]), st.sampled_from(_BAD_SPECS)))
+    names = ring(spec).element_names if spec not in _BAD_SPECS else ()
+    values = {
+        "--ring": st.just(spec),
+        "--gen": st.just("GEN"),
+        "-m": _mostly(st.integers(0, 2).map(str), st.sampled_from(["-1", "x", "99999999999999"])),
+        "--gamma": _mostly(st.sampled_from(["1", "2/3", "3", "0.5"]), st.one_of(
+            st.sampled_from(_GAMMAS), st.fractions(0, 9, max_denominator=9).map(str))),
+    }
+    dropped = draw(st.sampled_from([None] * 8 + options.split()))
+    argv = words.split()
+    for flag in options.split():
+        if flag in ("--json", "--emit-gen"):
+            if draw(st.booleans()):
+                argv += [flag] if flag == "--json" else [flag, "EMIT"]
+        elif flag != dropped:
+            argv += [flag, draw(values[flag])]
+    return argv + draw(st.sampled_from([[]] * 8 + [["--bogus"], ["extra"]])), draw(gen_files(names))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cli_argvs())
+def test_drawn_argv_exits_cleanly(drawn):
+    # every run ends in 0, 1 or 2, prints no traceback, and prints nothing
+    # on stdout when it fails
+    argv, gen_bytes = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        gen, emit = Path(tmp, "drawn.gen"), Path(tmp, "emitted.gen")
+        gen.write_bytes(gen_bytes)
+        argv = [str(gen) if a == "GEN" else str(emit) if a == "EMIT" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue(), argv

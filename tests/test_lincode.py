@@ -483,6 +483,14 @@ def test_shorten_validates_positions():
         fc.shorten(code, {4})
 
 
+@pytest.mark.parametrize("derive", [fc.shorten, fc.residual])
+@pytest.mark.parametrize("word,bad", [((9,) * 8, 9), ((-1,) + (0,) * 7, -1), ((0,) * 7 + (4,), 4)])
+def test_derived_codes_refuse_words_outside_the_ring(derive, word, bad):
+    # (9,)*8 over Z4 once shortened to all 256 words: its entries were never read
+    with pytest.raises(ValueError, match=f"entry {bad} outside the ring of size 4"):
+        derive(fc.octacode(), word)
+
+
 def test_residual_octacode():
     code = fc.octacode()
     res = fc.residual(code, (0, 0, 0, 2, 0, 2, 2, 2))
@@ -621,6 +629,13 @@ def test_weight_sums_match_fraction_sums(spec):
 def test_coset_average_length_check():
     with pytest.raises(ValueError):
         fc.coset_average(z4_code([(1, 2, 3)]), (1, 2))
+
+
+@pytest.mark.parametrize("word,bad", [((-1,) + (0,) * 7, -1), ((7,) * 8, 7), ((0,) * 7 + (4,), 4)])
+def test_coset_average_refuses_words_outside_the_ring(word, bad):
+    # -1 once indexed from the end and averaged the coset of (3, 0, ..., 0)
+    with pytest.raises(ValueError, match=f"entry {bad} outside the ring of size 4"):
+        fc.coset_average(fc.octacode(), word)
 
 
 # ---------------------------------------------------------------------------
