@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,111 @@ def test_parse_errors_carry_position():
 def test_canonical_names():
     assert fc.canonical_ring_name(fc.parse_ring_spec("gf(3^2)")) == "GF(9)"
     assert fc.canonical_ring_name(fc.parse_ring_spec("m2(z2xz3)")) == "M2(Z2xZ3)"
+
+
+def _nested(depth, inner):
+    return reduce(lambda spec, _: fc.Mat(1, spec), range(depth), inner)
+
+
+def _product(count, factor=fc.Zm(2)):
+    return reduce(fc.Prod, [factor] * count)
+
+
+_SpecError, _CapError = fc.RingSpecError, fc.CardinalityCapError
+_DEEP = "ring spec nests more than 256 levels deep (at position 0)"
+
+# every spec maps to its parsed spec, or to its exception class and message;
+# the messages are pinned byte for byte, positions included
+SPEC_CORPUS = {
+    "": (_SpecError, "empty ring spec"),
+    "  ": (_SpecError, "empty ring spec"),
+    "Q8": (_SpecError, "unrecognised ring term 'Q8' (at position 0)"),
+    "Z2xQ8": (_SpecError, "unrecognised ring term 'Q8' (at position 3)"),
+    "Z2x": (_SpecError, "empty ring term (at position 3)"),
+    "xZ2": (_SpecError, "empty ring term (at position 0)"),
+    "Z2xxZ3": (_SpecError, "empty ring term (at position 3)"),
+    "z4x": (_SpecError, "empty ring term (at position 3)"),
+    "GF(2^9)x": (_SpecError, "empty ring term (at position 8)"),
+    "M2()": (_SpecError, "empty ring term (at position 3)"),
+    "M2( )": (_SpecError, "empty ring term (at position 4)"),
+    "M2(Z2 x )": (_SpecError, "empty ring term (at position 8)"),
+    "M2(Z2": (_SpecError, "unbalanced '(' (at position 4)"),
+    "GF(2": (_SpecError, "unbalanced '(' (at position 3)"),
+    "M2Z2)": (_SpecError, "unbalanced ')' (at position 4)"),
+    "M2(Z2))": (_SpecError, "unbalanced ')' (at position 6)"),
+    "Z2)": (_SpecError, "unbalanced ')' (at position 2)"),
+    ")(": (_SpecError, "unbalanced ')' (at position 0)"),
+    "M2(GF(2)))(": (_SpecError, "unbalanced ')' (at position 9)"),
+    "M2(GF(2))x)": (_SpecError, "unbalanced ')' (at position 10)"),
+    "M2(Z2)x(": (_SpecError, "unbalanced '(' (at position 7)"),
+    "M1(M1(M1(Z2))": (_SpecError, "unbalanced '(' (at position 12)"),
+    "CHAIN(2)xM2(GF(2)": (_SpecError, "unbalanced '(' (at position 16)"),
+    "(Z2)": (_SpecError, "unrecognised ring term '(Z2)' (at position 0)"),
+    "Z2x(Z3)": (_SpecError, "unrecognised ring term '(Z3)' (at position 3)"),
+    "M1(M1(Z2)x(Z3))": (_SpecError, "unrecognised ring term '(Z3)' (at position 10)"),
+    "M2(Q(8x2))": (_SpecError, "unrecognised ring term 'Q(8x2)' (at position 3)"),
+    "GF( 2 )": (_SpecError, "unrecognised ring term 'GF( 2 )' (at position 0)"),
+    "Z 4": (_SpecError, "unrecognised ring term 'Z 4' (at position 0)"),
+    "Z2 Z3": (_SpecError, "unrecognised ring term 'Z2 Z3' (at position 0)"),
+    "M2(Z2 Z3)": (_SpecError, "unrecognised ring term 'Z2 Z3' (at position 3)"),
+    "GF(2)^2": (_SpecError, "unrecognised ring term 'GF(2)^2' (at position 0)"),
+    "Z-2": (_SpecError, "unrecognised ring term 'Z-2' (at position 0)"),
+    "M2(Z2)(Z3)": (_SpecError, "unbalanced ')' (at position 5)"),
+    "M2(Z2)M2(Z2)": (_SpecError, "unbalanced ')' (at position 5)"),
+    "Z2xM2(Z2)(Z3)": (_SpecError, "unbalanced ')' (at position 8)"),
+    "GF(6)": (_SpecError, "6 is not a prime power"),
+    "GF(4^1)": (_SpecError, "GF(4^1): 4 is not prime"),
+    "GF(2^0)": (_SpecError, "GF(2^0): exponent must be >= 1"),
+    "GF(1)": (_SpecError, "1 is not a prime power"),
+    "GF(0^3)": (_SpecError, "GF(0^3): 0 is not prime"),
+    "gf(11^2)": (_SpecError, "GF(11^2): coefficients above 9 have no literal syntax"),
+    "gf(121)": (_SpecError, "GF(11^2): coefficients above 9 have no literal syntax"),
+    "CHAIN(6)": (_SpecError, "6 is not a prime power"),
+    "CHAIN(1)": (_SpecError, "1 is not a prime power"),
+    "Z0": (_SpecError, "Z0: modulus must be >= 2"),
+    "Z1": (_SpecError, "Z1: modulus must be >= 2"),
+    "M0(Z2)": (_SpecError, "M0: matrix size must be >= 1"),
+    "Z600": (_CapError, "Z600: literal 600 is above the size cap 512 (at position 0)"),
+    "Z2xZ600": (_CapError, "Z600: literal 600 is above the size cap 512 (at position 3)"),
+    "M600(Z2)": (_CapError, "M600(Z2): literal 600 is above the size cap 512 (at position 0)"),
+    "M600(Q8)": (_SpecError, "unrecognised ring term 'Q8' (at position 5)"),
+    "M2(Z600)": (_CapError, "Z600: literal 600 is above the size cap 512 (at position 3)"),
+    "GF(2^100000)": (_CapError, "GF(2^100000): literal 100000 is above the size cap 512 (at position 0)"),
+    "CHAIN(1000000007)": (
+        _CapError, "CHAIN(1000000007): literal 1000000007 is above the size cap 512 (at position 0)"),
+    "Z" + "1" * 5000: (_CapError, "Z" + "1" * 39 + ": literal of 5000 digits is above the size cap 512"
+                                  " (at position 0)"),
+    "Z02": fc.Zm(2),
+    "Z4 ": fc.Zm(4),
+    " M2( Z2 x Z3 ) ": fc.Mat(2, fc.Prod(fc.Zm(2), fc.Zm(3))),
+    "M2(Z2) x Z3": fc.Prod(fc.Mat(2, fc.Zm(2)), fc.Zm(3)),
+    "m2(z2)X z3": fc.Prod(fc.Mat(2, fc.Zm(2)), fc.Zm(3)),
+    "Z4\tx\nZ2": fc.Prod(fc.Zm(4), fc.Zm(2)),
+    "gf(3^2)": fc.GF(3, 2),
+    "M2(m2(z2))": fc.Mat(2, fc.Mat(2, fc.Zm(2))),
+    "M2(GF(2))xM2(GF(2))xZ2": fc.Prod(fc.Prod(fc.Mat(2, fc.GF(2)), fc.Mat(2, fc.GF(2))), fc.Zm(2)),
+    "M1(" * 2000 + "Z2" + ")" * 2000: (_SpecError, _DEEP),
+    "x".join(["Z2"] * 2000): (_SpecError, _DEEP),
+    "M1(" * 200 + "x".join(["Z2"] * 100) + ")" * 200: (_SpecError, _DEEP.replace("0)", "600)")),
+    "M1(" * 250 + "Z2x" * 40000 + "Z2" + ")" * 250: (_SpecError, _DEEP.replace("0)", "750)")),
+    "M1(" * 256 + "GF(2)" + ")" * 256: (_SpecError, _DEEP),
+    "M1(" * 255 + "GF(2)" + ")" * 255: _nested(255, fc.GF(2)),
+    "M1(" * 256 + "Z2" + ")" * 256: _nested(256, fc.Zm(2)),
+    "x".join(["Z2"] * 257): _product(257),
+    "M1(" * 255 + "Z2xZ2" + ")" * 255: _nested(255, _product(2)),
+    "Z2xM1(" * 120 + "Z2" + ")" * 120: reduce(lambda spec, _: fc.Prod(fc.Zm(2), fc.Mat(1, spec)),
+                                              range(120), fc.Zm(2)),
+}
+
+
+def test_spec_corpus_parses_or_fails_as_pinned():
+    for spec, expected in SPEC_CORPUS.items():
+        if isinstance(expected, tuple):
+            with pytest.raises(Exception) as info:
+                fc.parse_ring_spec(spec)
+            assert (type(info.value), str(info.value)) == expected, spec[:40]
+        else:
+            assert fc.parse_ring_spec(spec) == expected, spec[:40]
 
 
 # ---------------------------------------------------------------------------
