@@ -135,7 +135,11 @@ def _check_term(spec: RingSpec) -> None:
             raise RingSpecError(f"GF({spec.p}^{spec.k}): exponent must be >= 1")
         if spec.p < 2 or _prime_power(spec.p)[1] != 1:
             raise RingSpecError(f"GF({spec.p}^{spec.k}): {spec.p} is not prime")
-        _check_coefficients(spec)
+        if spec.k > 1 and spec.p > 10:
+            # element literals are single-digit coefficient strings
+            raise RingSpecError(
+                f"GF({spec.p}^{spec.k}): coefficients above 9 have no literal syntax"
+            )
     elif isinstance(spec, Mat):
         if spec.n < 1:
             raise RingSpecError(f"M{spec.n}: matrix size must be >= 1")
@@ -143,14 +147,6 @@ def _check_term(spec: RingSpec) -> None:
         _prime_power(spec.q)
     elif not isinstance(spec, Prod):
         raise RingSpecError(f"unknown ring spec {spec!r}")
-
-
-def _check_coefficients(spec: GF) -> None:
-    if spec.k > 1 and spec.p > 10:
-        # element literals are single-digit coefficient strings
-        raise RingSpecError(
-            f"GF({spec.p}^{spec.k}): coefficients above 9 have no literal syntax"
-        )
 
 
 def _capped_cardinality(spec: RingSpec, cap: int) -> int:
@@ -202,7 +198,7 @@ def canonical_ring_name(spec: RingSpec) -> str:
 # ---------------------------------------------------------------------------
 # Ring spec parsing
 #
-# Grammar (case-insensitive, no whitespace inside terms):
+# Grammar (case-insensitive; whitespace only around terms):
 #   spec  := term ('x' term)*          products associate to the left
 #   term  := 'Z' int | 'GF(' int ['^' int] ')' | 'M' int '(' spec ')'
 #          | 'CHAIN(' int ')'
@@ -213,123 +209,104 @@ def canonical_ring_name(spec: RingSpec) -> str:
 # building recurse once per level.
 _MAX_NESTING = 256
 
+# One term at the cursor of the spec with its ASCII letters lowered.  The
+# last group that matched names the constructor: 1 Z, 2 GF(q), 4 GF(p^k),
+# 5 CHAIN, 6 the head of M<n>(spec).
+_TERM = re.compile(r"z(\d+)|gf\((\d+)\)|gf\((\d+)\^(\d+)\)|chain\((\d+)\)|m(\d+)\(")
+_SPACE = re.compile(r"\s*")
+_LOWER = str.maketrans("ZGFCHAINMX", "zgfchainmx")
+_MAKE = {1: Zm, 2: lambda q: GF(*_prime_power(q)), 4: GF, 5: ChainQuad, 6: Mat}
+
 
 def parse_ring_spec(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
-    """Parse and validate a ring spec.
+    """Parse and validate a ring spec; positions in errors index ``text``.
 
-    Each term is checked as it is parsed, and each literal is factored at
-    most once.  A literal above ``cap`` raises ``CardinalityCapError``
-    before it is converted or factored: a literal is at most the size of
-    its term, so it puts every valid ring that contains it above the cap.
-    The size of the whole ring is checked by ``build_ring``.
+    Errors come in this order: an empty spec, then the first unbalanced
+    parenthesis, then nesting beyond 256 levels, then the terms from left
+    to right.  A matrix term's inner spec is read before its size literal
+    and before what follows its ')'.  Each term is checked as it is
+    parsed.  A literal above ``cap`` raises ``CardinalityCapError`` before
+    it is converted or factored: a literal is at most the size of its term,
+    so it puts every valid ring that contains it above the cap.  The size
+    of the whole ring is checked by ``build_ring``.
 
-    Parsing takes time linear in the length of the spec: one pass matches
-    the parentheses, and each level of the tree then jumps over its
-    parenthesised groups instead of rescanning them.
+    One pass counts the parentheses and the nesting; a recursive descent
+    then reads the terms, looping over the factors of a product and
+    recursing only into a matrix, so parsing takes linear time.
     """
-    stripped = text.strip()
-    base = len(text) - len(text.lstrip())
-    if not stripped:
+    if not text.strip():
         raise RingSpecError("empty ring spec")
-    # groups[i] = (index of the ')' matching the '(' at i, parenthesis
-    # levels from that '(' down to the innermost one inside it)
-    groups: dict[int, tuple[int, int]] = {}
-    open_: list[list[int]] = []  # [index, levels of the deepest group inside]
-    for i, ch in enumerate(stripped):
+    # per open parenthesis, and the whole spec at the bottom: [its top-level
+    # 'x's, levels of the deepest parenthesis inside it]
+    open_ = [[0, 0]]
+    for i, ch in enumerate(text):
         if ch == "(":
-            open_.append([i, 0])
+            open_.append([0, 0])
         elif ch == ")":
-            if not open_:
-                raise _spec_error("unbalanced ')'", i, base)
-            j, inside = open_.pop()
-            groups[j] = (i, inside + 1)
-            if open_:
-                open_[-1][1] = max(open_[-1][1], inside + 1)
-    if open_:
-        raise _spec_error("unbalanced '('", len(stripped) - 1, base)
-    return _parse_spec(stripped, 0, len(stripped), base, cap, 0, groups)
-
-
-def _spec_error(message: str, pos: int, base: int) -> RingSpecError:
-    return RingSpecError(f"{message} (at position {pos + base})")
-
-
-def _parse_spec(
-    s: str, lo: int, hi: int, base: int, cap: int, nesting: int, groups: dict
-) -> RingSpec:
-    # s[lo:hi] is balanced except inside 'M<n>(...)' when the '(' after
-    # M<n> closes before the final ')': the walk then meets that ')'
-    parts: list[tuple[int, int]] = []
-    deepest = 0
-    start = i = lo
-    while i < hi:
-        ch = s[i]
-        if ch == "(":
-            i, levels = groups[i]
-            deepest = max(deepest, levels)
-        elif ch == ")":
-            raise _spec_error("unbalanced ')'", i, base)
+            if len(open_) == 1:
+                raise RingSpecError(f"unbalanced ')' (at position {i})")
+            xs, deepest = open_.pop()
+            open_[-1][1] = max(open_[-1][1], xs + deepest + 1)
         elif ch in "xX":
-            parts.append((start, i))
-            start = i + 1
-        i += 1
-    parts.append((start, hi))
-    nesting += len(parts) - 1
-    if nesting + deepest > _MAX_NESTING:
-        raise _spec_error(f"ring spec nests more than {_MAX_NESTING} levels deep", lo, base)
-    spec = _parse_term(s, *parts[0], base, cap, nesting, groups)
-    for lo_i, hi_i in parts[1:]:
-        spec = Prod(spec, _parse_term(s, lo_i, hi_i, base, cap, nesting, groups))
-    return spec
+            open_[-1][0] += 1
+    if len(open_) > 1:
+        raise RingSpecError(f"unbalanced '(' (at position {len(text.rstrip()) - 1})")
+    if sum(open_[0]) > _MAX_NESTING:
+        at = len(text) - len(text.lstrip())
+        raise RingSpecError(f"ring spec nests more than {_MAX_NESTING} levels deep (at position {at})")
+    return _parse_spec(text, text.rstrip().translate(_LOWER), 0, cap)[0]
 
 
-_MAT_HEAD = re.compile(r"m(\d+)\(", re.IGNORECASE)
-
-
-def _parse_term(
-    s: str, lo: int, hi: int, base: int, cap: int, nesting: int, groups: dict
-) -> RingSpec:
-    while lo < hi and s[lo].isspace():
-        lo += 1
-    while hi > lo and s[hi - 1].isspace():
-        hi -= 1
-    if lo == hi:
-        raise _spec_error("empty ring term", lo, base)
-
-    def literal(digits: str) -> int:
-        # comparing digit counts first keeps int() off huge strings
-        if len(digits.lstrip("0")) > len(str(cap)) or int(digits) > cap:
-            shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
-            raise CardinalityCapError(
-                f"{s[lo:min(hi, lo + 40)]}: literal {shown} is above the size cap {cap}"
-                f" (at position {lo + base})"
-            )
-        return int(digits)
-
-    # a matrix term is matched on its head, so each level copies no more
-    # than its own characters of the spec
-    if (m := _MAT_HEAD.match(s, lo, hi)) and s[hi - 1] == ")":
-        inner = _parse_spec(s, m.end(), hi - 1, base, cap, nesting + 1, groups)
-        spec = Mat(literal(m.group(1)), inner)
+def _parse_spec(text: str, low: str, i: int, cap: int) -> tuple[RingSpec, int]:
+    """The spec from index i of ``low`` to the ')' or the end that closes it,
+    and the index just past that ')' or end."""
+    factors = []
+    while True:
+        start = i = _SPACE.match(low, i).end()
+        m, error = _TERM.match(low, i), None
+        i = m.end() if m else i
+        if m and m.lastindex == 6:
+            try:
+                inner, i = _parse_spec(text, low, i, cap)
+            except RingSpecError as exc:
+                # what follows the ')' is judged first; ``resume`` is where an
+                # error inside left off, so each ')' is found in linear time
+                error, i = exc, _scan(low, getattr(exc, "resume", i), ")") + 1
+        end, i = i, _SPACE.match(low, i).end()
+        if not m or low[i:i + 1] not in "x)":  # "" (the end) is in "x)"
+            i = _scan(low, end, "x)")
+            term = text[start:i].rstrip()
+            message = f"unrecognised ring term {term!r}" if term else "empty ring term"
+            error = RingSpecError(f"{message} (at position {start})")
+        if error:
+            error.resume = i
+            raise error
+        args = [_literal(d, text[start:min(end, start + 40)], start, cap) for d in m.groups() if d]
+        spec = _MAKE[m.lastindex](*args, *([inner] if m.lastindex == 6 else []))
         _check_term(spec)
-        return spec
-    term = s[lo:hi]
-    low = term.lower()
-    if m := re.fullmatch(r"z(\d+)", low):
-        spec = Zm(literal(m.group(1)))
-    elif m := re.fullmatch(r"gf\((\d+)\)", low):
-        # factoring q shows that p is prime; only the coefficient rule is left
-        spec = GF(*_prime_power(literal(m.group(1))))
-        _check_coefficients(spec)
-        return spec
-    elif m := re.fullmatch(r"gf\((\d+)\^(\d+)\)", low):
-        spec = GF(literal(m.group(1)), literal(m.group(2)))
-    elif m := re.fullmatch(r"chain\((\d+)\)", low):
-        spec = ChainQuad(literal(m.group(1)))
-    else:
-        raise _spec_error(f"unrecognised ring term {term!r}", lo, base)
-    _check_term(spec)
-    return spec
+        factors.append(spec)
+        if low[i:i + 1] != "x":
+            return reduce(Prod, factors), i + 1
+        i += 1
+
+
+def _scan(low: str, i: int, stops: str) -> int:
+    # the first of ``stops`` from i on outside parentheses, or the end
+    depth = 0
+    while i < len(low) and (depth or low[i] not in stops):
+        depth += (low[i] == "(") - (low[i] == ")")
+        i += 1
+    return i
+
+
+def _literal(digits: str, term: str, pos: int, cap: int) -> int:
+    # comparing digit counts first keeps int() off huge strings
+    value = digits.lstrip("0") or "0"
+    if len(value) > len(str(cap)) or int(value) > cap:
+        shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+        raise CardinalityCapError(
+            f"{term}: literal {shown} is above the size cap {cap} (at position {pos})")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
