@@ -276,7 +276,7 @@ def _cmd_bounds_check(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    family, extra = args.family_command, {}
+    family, extra = args.command.split()[1], {}
     if family == "octacode":
         code = octacode()
     else:
@@ -347,16 +347,17 @@ _COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobcode", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"frobcode {__version__}")
-    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    # no dest: a missing or unknown subcommand is then named by its choices
+    subparsers = {"": parser.add_subparsers(required=True)}
     for words, summary, options, handler in _COMMANDS:
         group, _, name = words.rpartition(" ")
         if group not in subparsers:
             parent = subparsers[""].add_parser(group, help=_GROUPS[group])
-            subparsers[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+            subparsers[group] = parent.add_subparsers(required=True)
         command = subparsers[group].add_parser(name, help=summary)
         for flag in options.split():
             command.add_argument(flag, **_OPTIONS[flag])
-        command.set_defaults(func=handler)
+        command.set_defaults(func=handler, command=words)
     return parser
 
 

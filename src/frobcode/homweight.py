@@ -135,17 +135,17 @@ class HomWeightTable:
 def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
     """Weight table from the character formula, checked by ``verify_axioms``.
 
-    One character sum per right unit orbit {xv}: sum_u chi(xvu) = sum_u chi(xu).
+    One character sum per right unit orbit xU (``Ring.unit_orbits``), at
+    its smallest member: sum_u chi(xvu) = sum_u chi(xu) for a unit v.
     """
     mul, units, chi = ring.mul_table, ring.units, ring.char_exp
-    norm = [None] * ring.size
-    for x in range(ring.size):
-        if norm[x] is None:
-            s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])
-            value = 1 - cyclotomic_reduce(s) / len(units)
-            for y in {mul[x][v] for v in units}:
-                norm[y] = value
-    table = HomWeightTable(ring=ring, gamma=gamma, norm_weight=tuple(norm))
+    bits, reps, _ = ring.unit_orbits
+    values = []
+    for x in reps:
+        s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])
+        values.append(1 - cyclotomic_reduce(s) / len(units))
+    norm = tuple(values[b.bit_length() - 1] for b in bits)
+    table = HomWeightTable(ring=ring, gamma=gamma, norm_weight=norm)
     if not verify_axioms(table):
         raise CharacterError(f"character formula on {ring.name} violates the weight axioms")
     return table

@@ -13,12 +13,12 @@ packed as bytes, one byte per coordinate: addition and scaling are
 ``bytes.translate`` calls through tables kept on the ring.  Up to 16
 elements a level of the enumeration is extended word by word through a
 table of pairs; above, column by column.  A word's |Rc| depends only on
-the classes it meets, the right unit orbits xU cut by weight, so each
-ring keeps one class map per weight table, with a memo of |Rc| by set of
-classes that every code over the ring and table shares.  A code gathers
-its per-word facts (Hamming weights, weight sums, class sets) before its
-words become tuples, translating each packed word into class indices
-and into indices of weight values, and reads |Rc| once per class set.
+the classes it meets, the right unit orbits xU, so every code over a ring
+reads them from the ring's one orbit map (``Ring.unit_orbits``), with its
+memo of |Rc| by set of classes.  A code gathers its per-word facts
+(Hamming weights, weight sums, class sets) before its words become
+tuples, translating each packed word into class indices and into indices
+of weight values, and reads |Rc| once per class set.
 Its support is read off its generator rows.  A derived (shortened or
 residual) code packs and sorts its words once, and its generators are
 picked greedily from them by the same enumeration.  Weight sums use the
@@ -81,32 +81,6 @@ def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
 PACK_LIMIT = 16
 
 
-def _orbit_classes(
-    ring: Ring, table: HomWeightTable
-) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
-    """The class of each element as the bit 1 << k of its class k, the
-    smallest member of each class, and a memo {set of classes: |Rc|}.
-
-    A class is a right unit orbit xU cut by weight, so the weight is
-    constant on it for any table, and so is ann_l, as ann_l(xu) = ann_l(x).
-    Classes are numbered in index order of their smallest member, so {0}
-    is class 0.  A set of classes is the sum of their bits.  Computed once
-    per weight table and kept on the ring, so every code over the ring and
-    table (shortened, residual and chain codes too) shares the memo, which
-    ``LinearCode`` fills on first use.
-    """
-    key = ("classes", table.numerators)
-    if key not in ring._facts:
-        num, mul, units = table.numerators, ring.mul_table, ring.units
-        cls, reps = {}, []
-        for x in range(ring.size):
-            if x not in cls:
-                cls.update((y, len(reps)) for y in {mul[x][u] for u in units} if num[y] == num[x])
-                reps.append(x)
-        ring._facts[key] = (tuple(1 << cls[x] for x in range(ring.size)), tuple(reps), {})
-    return ring._facts[key]
-
-
 class LinearCode:
     """An enumerated left-linear code with cached exact parameters.
 
@@ -116,12 +90,12 @@ class LinearCode:
     most 256 elements the words are given packed as bytes, one byte per
     coordinate; the per-word facts are read from the packed words, and
     ``word_order`` holds them as tuples.  Each word's Hamming weight, weight
-    numerator and set of classes (an int bitmask, see ``_orbit_classes``)
-    are read when the code is made, and its |Rc| from the set of classes
-    through the ring's memo.  A packed word is translated into class
-    indices (at most 256 classes, so one byte each), read by one membership
-    test per class, and into indices of weight values, read by one count
-    per value, at any length.  ``hamming_weights``
+    numerator and set of classes (an int bitmask of the right unit orbits
+    of ``Ring.unit_orbits``) are read when the code is made, and its |Rc|
+    from the set of classes through the ring's memo.  A packed word is
+    translated into class indices (at most 256 classes, so one byte each),
+    read by one membership test per class, and into indices of weight
+    values, read by one count per value, at any length.  ``hamming_weights``
     and ``cyclic_sizes`` are aligned with ``word_order``.  The
     ``generators`` must generate ``word_order``: the support is read off
     them, as coordinate i vanishes on the code exactly when it vanishes on
@@ -149,7 +123,7 @@ class LinearCode:
         # its tuple is made
         order = word_order if isinstance(word_order, list) else list(word_order)
         self.hamming_weights = [n - w.count(0) for w in order]
-        bits, reps, _ = self._classes = _orbit_classes(ring, table)
+        bits, reps, _ = self._classes = ring.unit_orbits
         num = table.numerators
         if _packer(ring) is bytes:
             # a packed word is translated into class indices, each class then
@@ -439,8 +413,9 @@ def min_hamming_word_structure(
     """
     ring = code.ring
     cyclic_size = code.cyclic_size(c)
+    bits, reps, _ = ring.unit_orbits
     # the zero word has no nonzero entry, and alpha = 0
-    alpha = min(ring.mul_table[next((x for x in c if x), 0)][u] for u in ring.units)
+    alpha = reps[bits[next((x for x in c if x), 0)].bit_length() - 1]
     # {alpha * u: the smallest such unit u}
     smallest = {ring.mul_table[alpha][u]: u for u in sorted(ring.units, reverse=True)}
     units_at = {i: smallest.get(x) for i, x in enumerate(c, 1) if x}

@@ -223,9 +223,9 @@ def parse_ring_spec(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
 
     Errors come in this order: an empty spec, then the first unbalanced
     parenthesis, then nesting beyond 256 levels, then the terms from left
-    to right.  A matrix term's inner spec is read before its size literal
-    and before what follows its ')'.  Each term is checked as it is
-    parsed.  A literal above ``cap`` raises ``CardinalityCapError`` before
+    to right.  Within a matrix term, what follows its ')' is judged first,
+    then its inner spec, then its size literal.  Each term is checked as it
+    is parsed.  A literal above ``cap`` raises ``CardinalityCapError`` before
     it is converted or factored: a literal is at most the size of its term,
     so it puts every valid ring that contains it above the cap.  The size
     of the whole ring is checked by ``build_ring``.
@@ -378,8 +378,9 @@ class Ring:
     ``add_table``/``mul_table`` are size x size lookup tables over element
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
     character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
-    (one walk over the unit orbits) and ``radical`` (read off it) are
-    computed on first use and kept on the ring.  There is no negation
+    (one walk over the left unit orbits), ``radical`` (read off it) and
+    ``unit_orbits`` (the right unit orbits) are computed on first use and
+    kept on the ring.  There is no negation
     table: -x is the column of 0 in row x of ``add_table``.
     """
 
@@ -443,6 +444,29 @@ class Ring:
                 if all(one_plus[y] in units for y in members)
             ))
         return self._facts["radical"]
+
+    @property
+    def unit_orbits(self) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+        """The right unit orbits xU: the orbit of each element as the bit
+        1 << k of its orbit k, the smallest member of each orbit, and a memo
+        {set of orbits: |Rc|}.
+
+        Orbits are numbered in index order of their smallest member, so {0}
+        is orbit 0, and a set of orbits is the sum of their bits.  The weight
+        from the character formula is constant on each orbit, and so is
+        ann_l, as ann_l(xu) = ann_l(x), so |Rc| depends only on the orbits
+        that c meets.  Every code over the ring (shortened, residual and
+        chain codes too) shares the memo, which ``LinearCode`` fills.
+        """
+        if "orbits" not in self._facts:
+            mul, units = self.mul_table, self.units
+            orbit, reps = {}, []
+            for x in range(self.size):
+                if x not in orbit:
+                    orbit.update((y, len(reps)) for y in {mul[x][u] for u in units})
+                    reps.append(x)
+            self._facts["orbits"] = (tuple(1 << orbit[x] for x in range(self.size)), tuple(reps), {})
+        return self._facts["orbits"]
 
     @property
     def byte_tables(self) -> tuple[bytes | tuple[bytes, ...], tuple[bytes, ...]]:

@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 import time
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -163,6 +164,19 @@ SPEC_CORPUS = {
     "M1(" * 255 + "Z2xZ2" + ")" * 255: _nested(255, _product(2)),
     "Z2xM1(" * 120 + "Z2" + ")" * 120: reduce(lambda spec, _: fc.Prod(fc.Zm(2), fc.Mat(1, spec)),
                                               range(120), fc.Zm(2)),
+    # what follows a matrix's ')' is judged before its inner spec
+    "M2(Q8)Z3": (_SpecError, "unrecognised ring term 'M2(Q8)Z3' (at position 0)"),
+    "M2(Q8)(Z3)": (_SpecError, "unrecognised ring term 'M2(Q8)(Z3)' (at position 0)"),
+    "M2(M2()())": (_SpecError, "unrecognised ring term 'M2()()' (at position 3)"),
+    # the nesting of the whole spec is judged before any term
+    "Q8x" + "M1(" * 200 + "Z2x" * 100 + "Z2" + ")" * 200: (_SpecError, _DEEP),
+    # only ASCII letters fold: a dotless i is not an i
+    "CHA\u0131N(2)": (_SpecError, "unrecognised ring term 'CHA\u0131N(2)' (at position 0)"),
+    " Z2 x ": (_SpecError, "empty ring term (at position 5)"),
+    # leading zeros are dropped before int(), which refuses over 4300 digits
+    "Z" + "0" * 5000 + "2": fc.Zm(2),
+    "Z" + "0" * 5000 + "1024": (_CapError, "Z" + "0" * 39 + ": literal of 5004 digits is above the"
+                                           " size cap 512 (at position 0)"),
 }
 
 
@@ -174,30 +188,6 @@ def test_spec_corpus_parses_or_fails_as_pinned():
             assert (type(info.value), str(info.value)) == expected, spec[:40]
         else:
             assert fc.parse_ring_spec(spec) == expected, spec[:40]
-
-
-@pytest.mark.parametrize("spec, message", [
-    # what follows a matrix's ')' is judged before its inner spec
-    ("M2(Q8)Z3", "unrecognised ring term 'M2(Q8)Z3' (at position 0)"),
-    ("M2(Q8)(Z3)", "unrecognised ring term 'M2(Q8)(Z3)' (at position 0)"),
-    ("M2(M2()())", "unrecognised ring term 'M2()()' (at position 3)"),
-    # the nesting of the whole spec before any term
-    ("Q8x" + "M1(" * 200 + "Z2x" * 100 + "Z2" + ")" * 200, _DEEP),
-    # only ASCII letters fold: a dotless i is not an i
-    ("CHA\u0131N(2)", "unrecognised ring term 'CHA\u0131N(2)' (at position 0)"),
-    (" Z2 x ", "empty ring term (at position 5)"),
-])
-def test_spec_error_precedence(spec, message):
-    with pytest.raises(fc.RingSpecError) as info:
-        fc.parse_ring_spec(spec)
-    assert str(info.value) == message
-
-
-def test_leading_zeros_are_not_digits_of_the_literal():
-    # no int() of more than 4300 digits: the zeros are dropped first
-    assert fc.parse_ring_spec("Z" + "0" * 5000 + "2") == fc.Zm(2)
-    with pytest.raises(fc.CardinalityCapError, match="literal of 5004 digits"):
-        fc.parse_ring_spec("Z" + "0" * 5000 + "1024")
 
 
 # valid specs to mutate: drawn ones, and written ones with whitespace, case,
@@ -507,6 +497,25 @@ def test_usage_error_exits_1(capsys):
     assert run(capsys)[0] == 1
 
 
+@pytest.mark.parametrize("argv, choices", [
+    ([], "{ring,weight,code,bounds,family,chain}"),
+    (["ring"], "{info}"),
+    (["code"], "{analyze}"),
+    (["bounds"], "{check}"),
+    (["family"], "{simplex,octacode,hjelmslev}"),
+])
+def test_missing_subcommand_is_named_by_its_choices(capsys, argv, choices):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: the following arguments are required: {choices}\n")
+
+
+def test_unknown_subcommand_is_named_by_its_choices(capsys):
+    code, out, err = run(capsys, "nonsense")
+    assert (code, out) == (1, "")
+    assert "argument {ring,weight,code,bounds,family,chain}: invalid choice: 'nonsense'" in err
+
+
 def test_bad_gamma_exits_1(capsys):
     code, _, err = run(capsys, "weight", "--ring", "Z4", "--gamma", "zero")
     assert code == 1
@@ -633,3 +642,96 @@ def test_drawn_argv_exits_cleanly(drawn):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert out.getvalue() == "" and err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# JSON that round-trips: read back, it equals the library's objects
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_codes(draw):
+    """A ring spec, --gamma, and k <= 2 generator rows of length n <= 4."""
+    spec = draw(ring_specs(16))[0]
+    size = ring(spec).size
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    return spec, draw(st.sampled_from(["1", "2/3", "3", "5/2"])), draw(st.lists(row, min_size=1, max_size=2))
+
+
+def _json_run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _same(value, expected):
+    # "p/q" strings are the rationals; ints, bools and None come back as they were
+    value = Fraction(value) if isinstance(value, str) else value
+    assert (type(value), value) == (type(expected), expected)
+
+
+def _indices(r, names):
+    return None if names is None else tuple(fc.parse_element(r, name) for name in names)
+
+
+def check_code_json(data, code):
+    assert set(data) == {"n", "M", "ell_C", "min_hamming", "d_over_gamma"}
+    assert (data["n"], data["M"], data["ell_C"]) == (code.n, code.size, code.ell_C)
+    _same(data["min_hamming"], code.min_hamming)
+    _same(data["d_over_gamma"], code.min_hom_norm)
+
+
+def check_reports_json(data, code, reports):
+    assert len(data) == len(reports)
+    for item, report in zip(data, reports):
+        assert set(item) == {"bound", "preconditions", "applicable", "direction", "lhs", "rhs",
+                             "satisfied", "sharp", "details"}
+        assert (item["bound"], item["applicable"], item["direction"], item["satisfied"], item["sharp"]) == (
+            report.bound, report.applicable, report.direction, report.satisfied, report.sharp)
+        assert [(p["description"], p["holds"]) for p in item["preconditions"]] == list(report.preconditions)
+        _same(item["lhs"], report.lhs)
+        _same(item["rhs"], report.rhs)
+        details = dict(item["details"])
+        if "word" in details:
+            details["word"] = _indices(code.ring, details["word"])
+        assert details == report.details
+
+
+def check_chain_json(data, code, chain):
+    assert set(data) == {"version", "ring", "code", "r", "hypothesis_n_le_d", "stages", "checks",
+                         "support_inequality"}
+    assert (data["version"], data["ring"]) == (fc.__version__, code.ring.name)
+    check_code_json(data["code"], code)
+    assert (data["r"], data["hypothesis_n_le_d"]) == (chain.r, chain.hypothesis_holds)
+    assert [s["index"] for s in data["stages"]] == list(range(len(chain.stages)))
+    for item, stage in zip(data["stages"], chain.stages):
+        assert (item["n"], item["M"], item["cyclic_size"]) == (stage.code.n, stage.code.size, stage.cyclic_size)
+        _same(item["d_over_gamma"], stage.code.min_hom_norm)
+        assert _indices(code.ring, item["word"]) == stage.word
+        assert item["hamming_weight"] == (None if stage.word is None else fc.ell(stage.word))
+    assert [(c["description"], c["holds"]) for c in data["checks"]] == list(chain.checks)
+    _same(data["support_inequality"]["lhs"], chain.inequality_lhs)
+    _same(data["support_inequality"]["rhs"], chain.inequality_rhs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_codes())
+def test_json_round_trips_to_the_library_objects(drawn):
+    spec, gamma, rows = drawn
+    r = ring(spec)
+    code = fc.build_code(r, rows, table(spec, Fraction(gamma)))
+    with tempfile.TemporaryDirectory() as tmp:
+        gen = Path(tmp, "drawn.gen")
+        gen.write_text("".join(" ".join(r.element_names[x] for x in row) + "\n" for row in rows))
+        given_code = ["--ring", spec, "--gen", str(gen), "--gamma", gamma]
+        exit_code, data = _json_run(["code", "analyze", *given_code])
+        assert exit_code == 0
+        check_code_json(data, code)
+        reports = fc.check_all(code)
+        exit_code, data = _json_run(["bounds", "check", *given_code, "--json"])
+        assert exit_code == cli._bounds_exit(reports)
+        check_reports_json(data, code, reports)
+        exit_code, data = _json_run(["chain", *given_code, "--json"])
+        assert exit_code in (0, 2)
+        check_chain_json(data, code, fc.residual_chain(code))

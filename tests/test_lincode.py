@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from frobcode.lincode import _orbit_classes, scale_word, word_add
+from frobcode.lincode import scale_word, word_add
 from helpers import ring, ring_specs, table
 
 F = Fraction
@@ -355,7 +355,7 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
     # |C| ell(C), with each entry weighed as the least member of its class
     r, t = ring(spec), table(spec)
     code = fc.simplex(r, m, t)
-    bits, reps, _ = _orbit_classes(r, t)
+    bits, reps, _ = r.unit_orbits
     by_class = [t.numerators[reps[b.bit_length() - 1]] for b in bits]
     read = sum(by_class[c] for w in code.word_order for c in w)
     per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
@@ -365,26 +365,28 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
 
 @pytest.mark.parametrize("spec", ["Z4", "Z9", "GF(16)", "M2(GF(2))", "Z25", "GF(27)"])
 def test_classes_are_unit_orbits_cut_by_weight(spec):
+    # one map per ring, of whole orbits: the weight from characters is
+    # constant on each orbit, so cutting by it leaves the orbit whole
     r, t = ring(spec), table(spec)
-    bits, reps, _ = _orbit_classes(r, t)
-    assert _orbit_classes(r, t) is r._facts[("classes", t.numerators)]
+    bits, reps, _ = r.unit_orbits
+    assert r.unit_orbits is r._facts["orbits"]
     classes = [b.bit_length() - 1 for b in bits]
     assert classes[0] == 0 and list(reps) == sorted(reps) and bits == tuple(1 << k for k in classes)
     for x in range(r.size):
         assert reps[classes[x]] == min(y for y in range(r.size) if classes[y] == classes[x])
         orbit = {r.mul(x, u) for u in r.units}
-        assert {y for y in range(r.size) if classes[y] == classes[x]} == {
+        assert {y for y in range(r.size) if classes[y] == classes[x]} == orbit == {
             y for y in orbit if t.numerators[y] == t.numerators[x]}
 
 
 @pytest.mark.parametrize("spec", ["Z5", "GF(9)", "Z19"])
 def test_per_word_facts_under_weights_not_constant_on_unit_orbits(spec):
-    # the units of these rings form one orbit, cut here by weight: a class
-    # map of whole orbits would count 1 and 2 at one weight
+    # the units of these rings form one orbit, which this table cuts by
+    # weight: weights are read per element, |Rc| per whole orbit
     r = ring(spec)
     odd = fc.HomWeightTable(ring=r, gamma=F(1), norm_weight=tuple(
         F(0) if x == 0 else F(x % 3 + 1, 2) for x in range(r.size)))
-    assert len(_orbit_classes(r, odd)[1]) == 4
+    assert len(r.unit_orbits[1]) == 2
     rng = random.Random(spec)
     for k, n in [(1, 3), (2, 5), (1, 40)]:
         code = fc.build_code(r, random_rows(rng, r, k, n), odd)
@@ -395,7 +397,7 @@ def test_per_word_facts_on_512_classes():
     # one unit, so every element is its own class: the masks have 512 bits
     spec = "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"
     code = fc.simplex(ring(spec), 1, table(spec))
-    assert len(_orbit_classes(ring(spec), table(spec))[1]) == 512
+    assert len(ring(spec).unit_orbits[1]) == 512
     check_per_word_facts(code, sample=17)
 
 
@@ -408,7 +410,7 @@ def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
     monkeypatch.setattr(fc.lincode, "cyclic_span", lambda r, v: spans.append(tuple(v)) or span(r, v))
     code = fc.hjelmslev_line(r, t)
     c = code.word_order[-1]
-    _, reps, sizes = _orbit_classes(r, t)
+    _, reps, sizes = r.unit_orbits
     for shared in [code, fc.shorten(code, c), fc.shorten(code, c, compact=True), fc.residual(code, c)]:
         check_per_word_facts(shared)
         assert shared._classes[2] is sizes
