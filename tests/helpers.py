@@ -1,8 +1,8 @@
-"""Shared cached builders for the test suite, and the reference ring tables."""
+"""Shared cached builders for the test suite, and the reference ring tables and chain certificate."""
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import lcm, prod
 
 from hypothesis import strategies as st
 
@@ -245,3 +245,54 @@ def _relabel_identity(one, names, add, mul, char):
     add = swap([swap([perm[x] for x in row]) for row in add])
     mul = swap([swap([perm[x] for x in row]) for row in mul])
     return swap(list(names)), add, mul, swap(list(char))
+
+
+# ---------------------------------------------------------------------------
+# Reference residual-chain certificate: the checks recomputed from a chain's
+# stages in separate passes over them, each stage read by index.
+# ---------------------------------------------------------------------------
+
+def reference_chain_certificate(code, stages) -> tuple:
+    """(r, hypothesis_holds, checks, inequality_lhs, inequality_rhs) of the
+    residual chain of ``code`` with the given stages."""
+    r = len(stages) - 1
+
+    d0 = code.min_hom_norm
+    hypothesis = d0 is not None and code.n <= d0
+
+    size_recursion = all(
+        stages[i].code.size * stages[i - 1].cyclic_size == stages[i - 1].code.size
+        for i in range(1, len(stages))
+    )
+    weight_growth = True
+    for i in range(1, len(stages)):
+        prev, cur = stages[i - 1], stages[i]
+        drop = prev.code.min_hom_norm - fc.ell(prev.word)
+        if drop <= 0:
+            weight_growth = False
+        elif cur.code.min_hom_norm is not None and cur.code.min_hom_norm < drop:
+            weight_growth = False
+    size_product = code.size == prod(
+        s.cyclic_size for s in stages[:-1]
+    ) * stages[-1].code.size
+    final_code = stages[-1].code
+    final_constant = all(h == final_code.n for h in final_code.hamming_weights if h)
+    final_small = final_code.size <= code.ring.size
+
+    ineq_lhs = ineq_rhs = None
+    chain_ineq = None
+    if r >= 1 and d0 is not None:
+        c0_size = stages[0].cyclic_size
+        ineq_lhs = code.n
+        ineq_rhs = Fraction(c0_size - 1, c0_size) * d0 + r
+        chain_ineq = ineq_lhs >= ineq_rhs
+
+    checks = (
+        ("stage sizes divide out the removed cyclic submodule", size_recursion),
+        ("stage minimum weights drop by at most the removed support", weight_growth),
+        ("code size factors through the chain", size_product),
+        ("final code has constant Hamming weight on nonzero words", final_constant),
+        ("final code size is at most the ring size", final_small),
+        ("support chain inequality", chain_ineq),
+    )
+    return r, hypothesis, checks, ineq_lhs, ineq_rhs

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from helpers import ring, ring_specs, table
+from helpers import reference_chain_certificate, ring, ring_specs, table
 
 F = Fraction
 
@@ -293,3 +294,27 @@ def test_drawn_chain_stages_divide_out_the_removed_cyclic_submodule(data):
         assert stage.code.size == fc.shorten(stage.code, c).size * removed.size
         if chain.hypothesis_holds:
             assert stage.code.size == removed.size * stage.cyclic_size
+
+
+CERTIFICATE_SPECS = ("Z4", "GF(4)", "CHAIN(2)", "Z6", "Z8", "Z9", "M2(GF(2))", "Z2xZ4")
+
+
+def test_chain_certificate_matches_the_multi_pass_reference():
+    """The six checks, r, the hypothesis and the inequality of every chain
+    equal those recomputed from its stages, down to True/False/None."""
+    rng = random.Random(21)
+    seen = set()
+    for spec in CERTIFICATE_SPECS:
+        for _ in range(50):
+            k, n = rng.randint(1, 2), rng.randint(1, 4)
+            rows = [tuple(rng.randrange(ring(spec).size) for _ in range(n)) for _ in range(k)]
+            code = fc.build_code(ring(spec), rows, table(spec))
+            chain = fc.residual_chain(code)
+            got = (chain.r, chain.hypothesis_holds, chain.checks,
+                   chain.inequality_lhs, chain.inequality_rhs)
+            assert repr(got) == repr(reference_chain_certificate(code, chain.stages))
+            seen.update((text, holds) for text, holds in chain.checks)
+    # the drawn codes reach the failing and the skipped branches
+    assert ("stage sizes divide out the removed cyclic submodule", False) in seen
+    assert ("stage minimum weights drop by at most the removed support", False) in seen
+    assert ("support chain inequality", None) in seen
