@@ -1,10 +1,11 @@
 """Exact evaluation of Plotkin-type and Singleton-type bounds.
 
-Every bound is reported with its recorded preconditions, exact left and
-right hand sides, a satisfaction verdict and a sharpness flag (equality).
-All comparisons are over the rationals; ceilings of logarithms are found
-by integer search, never floating point.  Division-based bounds require
-n < d/gamma strictly and are reported inapplicable on the boundary.
+Every bound is reported with its recorded preconditions and its exact left
+and right hand sides; the report derives its satisfaction verdict and its
+sharpness flag (equality) from them.  All comparisons are over the
+rationals; ceilings of logarithms are found by integer search, never
+floating point.  Division-based bounds require n < d/gamma strictly and
+are reported inapplicable on the boundary.
 """
 
 from __future__ import annotations
@@ -30,20 +31,46 @@ BOUND_ORDER = (
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One bound on one code: its preconditions and its exact sides.
+
+    The verdict is derived from them, so it cannot disagree with them.  A
+    report is ``applicable`` when every precondition holds, and only then
+    has sides.  It is ``satisfied`` when lhs <= rhs (direction "le", the
+    size bounds) or lhs >= rhs ("ge", the Singleton-type bounds), ``sharp``
+    when the sides are equal, and ``violated`` when it is applicable and
+    not satisfied.  An inapplicable report has ``satisfied`` and ``sharp``
+    None, and is not violated.
+    """
+
     bound: str
     preconditions: tuple[tuple[str, bool], ...]
-    applicable: bool
     lhs: Fraction | int | None
     rhs: Fraction | int | None
-    satisfied: bool | None
-    sharp: bool | None
     direction: str  # "le" (size bounds) or "ge" (Singleton-type bounds)
     details: dict
+
+    @property
+    def applicable(self) -> bool:
+        return all(holds for _, holds in self.preconditions)
+
+    @property
+    def satisfied(self) -> bool | None:
+        if not self.applicable:
+            return None
+        return self.lhs <= self.rhs if self.direction == "le" else self.lhs >= self.rhs
+
+    @property
+    def sharp(self) -> bool | None:
+        return self.lhs == self.rhs if self.applicable else None
+
+    @property
+    def violated(self) -> bool:
+        return self.satisfied is False
 
     def __repr__(self) -> str:
         if not self.applicable:
             return f"BoundReport({self.bound}: inapplicable)"
-        verdict = "satisfied" if self.satisfied else "VIOLATED"
+        verdict = "VIOLATED" if self.violated else "satisfied"
         sharp = ", sharp" if self.sharp else ""
         op = "<=" if self.direction == "le" else ">="
         return f"BoundReport({self.bound}: {verdict}{sharp}, {self.lhs} {op} {self.rhs})"
@@ -56,28 +83,9 @@ def _report(
     details: dict,
     direction: str = "le",
 ) -> BoundReport:
-    """``sides()`` gives (lhs, rhs) and runs only when every precondition holds.
-
-    Direction "le": satisfied iff lhs <= rhs (size bounds); "ge": iff
-    lhs >= rhs (Singleton-type bounds).
-    """
-    applicable = all(holds for _, holds in pre)
-    lhs = rhs = satisfied = sharp = None
-    if applicable:
-        lhs, rhs = sides()
-        satisfied = lhs <= rhs if direction == "le" else lhs >= rhs
-        sharp = lhs == rhs
-    return BoundReport(
-        bound=bound,
-        preconditions=tuple(pre),
-        applicable=applicable,
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=satisfied,
-        sharp=sharp,
-        direction=direction,
-        details=details,
-    )
+    """``sides()`` gives (lhs, rhs) and runs only when every precondition holds."""
+    lhs, rhs = sides() if all(holds for _, holds in pre) else (None, None)
+    return BoundReport(bound, tuple(pre), lhs, rhs, direction, details)
 
 
 def ceil_log(base: int, x: Fraction) -> int:

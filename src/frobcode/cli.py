@@ -140,8 +140,8 @@ def bound_report_json(code: LinearCode, report: BoundReport) -> dict:
 def _verdict_json(reports: list[BoundReport]) -> dict:
     return {
         "applicable": sum(1 for r in reports if r.applicable),
-        "violated": sum(1 for r in reports if r.applicable and not r.satisfied),
-        "sharp": [r.bound for r in reports if r.applicable and r.sharp],
+        "violated": sum(1 for r in reports if r.violated),
+        "sharp": [r.bound for r in reports if r.sharp],
     }
 
 
@@ -210,7 +210,7 @@ def _print_bounds(reports) -> None:
             failed = next(text for text, holds in r.preconditions if not holds)
             print(f"{r.bound}: not applicable ({failed})")
         else:
-            verdict = "VIOLATED" if not r.satisfied else "satisfied (sharp)" if r.sharp else "satisfied"
+            verdict = "VIOLATED" if r.violated else "satisfied (sharp)" if r.sharp else "satisfied"
             op = "<=" if r.direction == "le" else ">="
             print(f"{r.bound}: {verdict} [{r.lhs} {op} {r.rhs}]")
 
@@ -262,7 +262,7 @@ def _cmd_code_analyze(args) -> int:
 
 
 def _bounds_exit(reports) -> int:
-    return 2 if any(r.applicable and not r.satisfied for r in reports) else 0
+    return 2 if any(r.violated for r in reports) else 0
 
 
 def _cmd_bounds_check(args) -> int:

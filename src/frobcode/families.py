@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 from typing import Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
@@ -185,46 +184,34 @@ def residual_chain(code: LinearCode) -> ResidualChain:
     At each stage the word with the largest cyclic submodule among nonzero
     words of incomplete support is removed (ties: smallest Hamming weight,
     then earliest in word order); the chain stops when every nonzero word
-    has full support.
+    has full support.  The stage checks are made as the walk removes each
+    word c: the residual's size times |Rc| is the stage's size, and
+    drop = d/gamma - ell(c) is positive and at most the residual's d/gamma
+    (when it has one); the |Rc| are multiplied up for the code-size check.
+    The final-code checks read the last code.
     """
     stages: list[ChainStage] = []
     current = code
-    while True:
-        chosen = _select_chain_word(current)
-        if chosen is None:
-            stages.append(ChainStage(code=current, word=None, cyclic_size=None))
-            break
-        stages.append(
-            ChainStage(
-                code=current,
-                word=chosen,
-                cyclic_size=len(cyclic_span(current.ring, chosen)),
-            )
-        )
-        current = residual(current, support(chosen))
+    size_recursion = weight_growth = True
+    removed = 1  # the product of the |Rc| removed so far
+    while (chosen := _select_chain_word(current)) is not None:
+        cyclic_size = len(cyclic_span(current.ring, chosen))
+        stages.append(ChainStage(code=current, word=chosen, cyclic_size=cyclic_size))
+        after = residual(current, support(chosen))
+        size_recursion = size_recursion and after.size * cyclic_size == current.size
+        drop = current.min_hom_norm - ell(chosen)
+        if drop <= 0 or (after.min_hom_norm is not None and after.min_hom_norm < drop):
+            weight_growth = False
+        removed *= cyclic_size
+        current = after
+    stages.append(ChainStage(code=current, word=None, cyclic_size=None))
     r = len(stages) - 1
 
     d0 = code.min_hom_norm
     hypothesis = d0 is not None and code.n <= d0
-
-    size_recursion = all(
-        stages[i].code.size * stages[i - 1].cyclic_size == stages[i - 1].code.size
-        for i in range(1, len(stages))
-    )
-    weight_growth = True
-    for i in range(1, len(stages)):
-        prev, cur = stages[i - 1], stages[i]
-        drop = prev.code.min_hom_norm - ell(prev.word)
-        if drop <= 0:
-            weight_growth = False
-        elif cur.code.min_hom_norm is not None and cur.code.min_hom_norm < drop:
-            weight_growth = False
-    size_product = code.size == prod(
-        s.cyclic_size for s in stages[:-1]
-    ) * stages[-1].code.size
-    final_code = stages[-1].code
-    final_constant = all(h == final_code.n for h in final_code.hamming_weights if h)
-    final_small = final_code.size <= code.ring.size
+    size_product = code.size == removed * current.size
+    final_constant = all(h == current.n for h in current.hamming_weights if h)
+    final_small = current.size <= code.ring.size
 
     ineq_lhs = ineq_rhs = None
     chain_ineq: bool | None = None

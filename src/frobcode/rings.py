@@ -275,7 +275,7 @@ def _parse_spec(text: str, low: str, i: int, cap: int) -> tuple[RingSpec, int]:
         end, i = i, _SPACE.match(low, i).end()
         if not m or low[i:i + 1] not in "x)":  # "" (the end) is in "x)"
             i = _scan(low, end, "x)")
-            term = text[start:i].rstrip()
+            term = text[start:min(i, start + 40)].rstrip()
             message = f"unrecognised ring term {term!r}" if term else "empty ring term"
             error = RingSpecError(f"{message} (at position {start})")
         if error:

@@ -75,6 +75,12 @@ def test_averaging_zero_code_inapplicable():
     assert rep.satisfied is None and rep.lhs is None
 
 
+def test_inapplicable_report_is_neither_satisfied_nor_violated():
+    rep = fc.averaging_bound(zero_code())
+    assert rep.satisfied is None and rep.sharp is None and rep.violated is False
+    assert repr(rep) == "BoundReport(averaging: inapplicable)"
+
+
 # ---------------------------------------------------------------------------
 # Plotkin-type bounds
 # ---------------------------------------------------------------------------

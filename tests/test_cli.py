@@ -190,6 +190,13 @@ def test_spec_corpus_parses_or_fails_as_pinned():
             assert fc.parse_ring_spec(spec) == expected, spec[:40]
 
 
+def test_long_unrecognised_term_is_cut_to_40_characters(capsys):
+    # a literal above the cap is cut the same way; the whole term would fill stderr
+    code, out, err = run(capsys, "ring", "info", "--ring", "Z2x" + "Q" * 100000)
+    assert code == 1 and not out and len(err) < 200
+    assert err == f"frobcode: error: unrecognised ring term {'Q' * 40!r} (at position 3)\n"
+
+
 # valid specs to mutate: drawn ones, and written ones with whitespace, case,
 # GF(p^k) and nesting near the limit
 _WRITTEN_SPECS = ["GF(3^2)", " m2( z2 x gf(2^3) ) ", "CHAIN(3)xZ12", "M2(Z4) x Z2", "gf(2^9)",
@@ -548,8 +555,8 @@ def test_violated_bound_sentinel():
     from frobcode.cli import _bounds_exit
     from frobcode.bounds import BoundReport
 
-    good = BoundReport("averaging", (), True, 1, 2, True, False, "le", {})
-    bad = BoundReport("averaging", (), True, 3, 2, False, False, "le", {})
+    good = BoundReport("averaging", (), 1, 2, "le", {})
+    bad = BoundReport("averaging", (), 3, 2, "le", {})
     assert _bounds_exit([good]) == 0
     assert _bounds_exit([good, bad]) == 2
 
