@@ -139,7 +139,7 @@ def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
     its smallest member: sum_u chi(xvu) = sum_u chi(xu) for a unit v.
     """
     mul, units, chi = ring.mul_table, ring.units, ring.char_exp
-    bits, reps, _ = ring.unit_orbits
+    bits, reps = ring.unit_orbits
     values = []
     for x in reps:
         s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])

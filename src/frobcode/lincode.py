@@ -7,18 +7,19 @@ normalised homogeneous weight) is exact.  Coordinate positions are
 1-based throughout the public interface.
 
 Words are tuples of element indices in the public interface, and the
-per-word helpers index the ring's operation tables directly.  While a
-code over a ring of at most 256 elements is enumerated, its words are
-packed as bytes, one byte per coordinate: addition and scaling are
-``bytes.translate`` calls through tables kept on the ring.  Up to 16
+per-word helpers index the ring's operation tables directly.  How words
+are held while they are enumerated is decided in one place,
+``_word_format``, built once per ring: over a ring of at most 256
+elements they are packed as bytes, one byte per coordinate, and addition
+and scaling are ``bytes.translate`` calls through its tables.  Up to 16
 elements a level of the enumeration is extended word by word through a
 table of pairs; above, column by column.  A word's |Rc| depends only on
-the classes it meets, the right unit orbits xU, so every code over a ring
-reads them from the ring's one orbit map (``Ring.unit_orbits``), with its
-memo of |Rc| by set of classes.  A code gathers its per-word facts
-(Hamming weights, weight sums, class sets) before its words become
-tuples, translating each packed word into class indices and into indices
-of weight values, and reads |Rc| once per class set.
+the classes it meets, the right unit orbits xU (``Ring.unit_orbits``), so
+every code over a ring shares the format's memo of |Rc| by set of
+classes.  A code gathers its per-word facts (Hamming weights, weight
+sums, class sets) before its words become tuples, translating each
+packed word into class indices and into indices of weight values, and
+reads |Rc| once per class set.
 Its support is read off its generator rows.  A derived (shortened or
 residual) code packs and sorts its words once, and its generators are
 picked greedily from them by the same enumeration.  Weight sums use the
@@ -81,21 +82,53 @@ def scale_word(ring: Ring, r: int, word: Sequence[int]) -> Word:
 PACK_LIMIT = 16
 
 
+def _word_format(ring: Ring) -> tuple:
+    """The ring's word format ``(pack, add, mul, to_class, class_bits, sizes)``,
+    built on first use and kept on the ring; the one place that decides it.
+
+    ``pack`` is the word type of enumeration: ``bytes`` up to 256 elements,
+    one byte per coordinate, else ``tuple``.  For bytes, ``add`` and ``mul``
+    are the ring's operations as ``bytes.translate`` tables, with ``mul[r][c]``
+    = rc.  Up to ``PACK_LIMIT`` elements, whose indices fit in 4 bits, ``add``
+    is one pair table: ``add[a << 4 | b]`` is a + b; above, ``add[s][x]`` is
+    x + s, one table per addend.  ``to_class`` translates an element into the
+    index k of its right unit orbit (``Ring.unit_orbits``), and
+    ``class_bits`` holds the pairs (k, 1 << k).  Entries outside the ring are
+    0.  The tuple format has none of these four.  ``sizes`` is the memo {set of
+    orbits: |Rc|}, which every code over the ring (shortened, residual and
+    chain codes too) shares and ``LinearCode`` fills.
+    """
+    if "words" not in ring._facts:
+        entry = (tuple, None, None, None, None, {})
+        if ring.size <= 256:
+            bits, reps = ring.unit_orbits
+            pad = bytes(256 - ring.size)
+            add = tuple(bytes(row) + pad for row in ring.add_table)
+            if ring.size <= PACK_LIMIT:
+                add = b"".join(row[:16] for row in add).ljust(256, b"\0")
+            mul = tuple(bytes(row) + pad for row in ring.mul_table)
+            to_class = bytes(b.bit_length() - 1 for b in bits) + pad
+            entry = (bytes, add, mul, to_class, [(k, 1 << k) for k in range(len(reps))], {})
+        ring._facts["words"] = entry
+    return ring._facts["words"]
+
+
 class LinearCode:
     """An enumerated left-linear code with cached exact parameters.
 
     Immutable after construction.  ``word_order`` fixes a deterministic
     iteration order (message order for generated codes, sorted order for
-    derived ones) used wherever a tie-break is needed.  Over a ring of at
-    most 256 elements the words are given packed as bytes, one byte per
-    coordinate; the per-word facts are read from the packed words, and
-    ``word_order`` holds them as tuples.  Each word's Hamming weight, weight
-    numerator and set of classes (an int bitmask of the right unit orbits
-    of ``Ring.unit_orbits``) are read when the code is made, and its |Rc|
-    from the set of classes through the ring's memo.  A packed word is
-    translated into class indices (at most 256 classes, so one byte each),
-    read by one membership test per class, and into indices of weight
-    values, read by one count per value, at any length.  ``hamming_weights``
+    derived ones) used wherever a tie-break is needed.  The words are given
+    as a list in the ring's word format (``_word_format``): packed as bytes
+    over a ring of at most 256 elements.  The per-word facts are read from
+    the packed words, and ``word_order`` holds them as tuples.  Each word's
+    Hamming weight, weight numerator and set of classes (an int bitmask of
+    the right unit orbits of ``Ring.unit_orbits``) are read when the code is
+    made, and its |Rc| from the set of classes through the format's memo.  A
+    packed word is translated into class indices (at most 256 classes, so
+    one byte each), read by one membership test per class, and into indices
+    of weight values, read by one count per value, at any length; only the
+    table of weight values is made per code.  ``hamming_weights``
     and ``cyclic_sizes`` are aligned with ``word_order``.  The
     ``generators`` must generate ``word_order``: the support is read off
     them, as coordinate i vanishes on the code exactly when it vanishes on
@@ -107,7 +140,7 @@ class LinearCode:
         ring: Ring,
         n: int,
         generators: tuple[Word, ...],
-        word_order: Sequence[Word | bytes],
+        word_order: list[Word | bytes],
         table: HomWeightTable,
     ):
         # specs, not objects: two builds of one spec give identical tables
@@ -119,37 +152,33 @@ class LinearCode:
         self.generators = generators
         self.support = frozenset(i for i, col in enumerate(zip(*generators), 1) if any(col))
         self.ell_C = len(self.support)
-        # a list is unpacked in place below, so each packed word is freed as
-        # its tuple is made
-        order = word_order if isinstance(word_order, list) else list(word_order)
-        self.hamming_weights = [n - w.count(0) for w in order]
-        bits, reps, _ = self._classes = ring.unit_orbits
+        self.hamming_weights = [n - w.count(0) for w in word_order]
+        pack, _, _, to_class, class_bits, _ = self._format = _word_format(ring)
         num = table.numerators
-        if _packer(ring) is bytes:
+        if pack is bytes:
             # a packed word is translated into class indices, each class then
             # read by one membership test, and into indices of weight values,
             # each value then read by one count, all at C speed; a translation
             # is dropped as soon as it is read, so none are held at once
-            pad = bytes(256 - ring.size)
-            to_classes = bytes(b.bit_length() - 1 for b in bits) + pad
             values = sorted(set(num))
-            to_values = bytes(values.index(v) for v in num) + pad
-            class_bits = [(k, 1 << k) for k in range(len(reps))]
+            to_values = bytes(values.index(v) for v in num).ljust(256, b"\0")
             value_terms = [(i, v) for i, v in enumerate(values) if v]
             self._masks = [sum([bit for k, bit in class_bits if k in w])
-                           for w in map(bytes.translate, order, repeat(to_classes))]
+                           for w in map(bytes.translate, word_order, repeat(to_class))]
             weights = (sum([v * w.count(i) for i, v in value_terms])
-                       for w in map(bytes.translate, order, repeat(to_values)))
+                       for w in map(bytes.translate, word_order, repeat(to_values)))
         else:
-            weights = (sum([num[x] for x in w]) for w in order)
-            self._masks = [sum({bits[x] for x in set(w)}) for w in order]
+            bits = ring.unit_orbits[0]
+            weights = (sum([num[x] for x in w]) for w in word_order)
+            self._masks = [sum({bits[x] for x in set(w)}) for w in word_order]
         least = min(compress(weights, self.hamming_weights), default=None)
         del weights
         self.min_hamming = min(filter(None, self.hamming_weights), default=None)
         self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
-        for i, w in enumerate(order):
-            order[i] = tuple(w)
-        self.word_order = tuple(order)
+        # unpacked in place, so each packed word is freed as its tuple is made
+        for i, w in enumerate(word_order):
+            word_order[i] = tuple(w)
+        self.word_order = tuple(word_order)
         self.words = frozenset(self.word_order)
         self.size = len(self.words)
         # the per-word list read from the ring's memo, filled on first use; a
@@ -158,7 +187,7 @@ class LinearCode:
 
     def _mask_cyclic_size(self, mask: int) -> int:
         """|Rc| for the words c that meet the classes of ``mask``."""
-        _, reps, sizes = self._classes
+        sizes, reps = self._format[5], self.ring.unit_orbits[1]
         if mask not in sizes:
             sizes[mask] = len(cyclic_span(self.ring, [x for k, x in enumerate(reps) if mask >> k & 1]))
         return sizes[mask]
@@ -174,7 +203,7 @@ class LinearCode:
         """
         if tuple(c) not in self.words:
             raise ValueError("word is not in the code")
-        return self._mask_cyclic_size(sum({self._classes[0][x] for x in set(c)}))
+        return self._mask_cyclic_size(sum({self.ring.unit_orbits[0][x] for x in set(c)}))
 
     @property
     def cyclic_sizes(self) -> list[int]:
@@ -232,7 +261,7 @@ def build_code(
         table = hom_weight_table(ring)
     # Level i holds the distinct partial sums of the first i rows, in the
     # order they first appear in the lexicographic sweep.
-    pack = _packer(ring)
+    pack = _word_format(ring)[0]
     level = [pack((0,) * n)]
     for row in rows:
         level = list(_extend_level(ring, level, pack(row)))
@@ -250,33 +279,29 @@ def _check_rows(ring: Ring, rows: Iterable[Sequence[int]], n: int) -> None:
             raise ValueError(f"entry {bad} outside the ring of size {ring.size}")
 
 
-def _packer(ring: Ring):
-    """The word type of enumeration: bytes up to 256 elements, else tuple."""
-    return bytes if ring.size <= 256 else tuple
-
-
 def _extend_level(ring: Ring, level: Collection, row) -> dict:
     """The distinct words w + r*row, for w in ``level`` and r in R, as dict keys.
 
     They come in sweep order (w outer, r inner), one addition per pair.
     Dropping a repeated word keeps the order of a message sweep, since its
     extensions already appeared under its first copy.  Words and ``row``
-    are of the ``_packer`` type.  A one-word level is the zero word, whose
-    extensions are the multiples of ``row``.  Up to ``PACK_LIMIT`` elements
-    a packed sum shifts w by 4 bits, so each byte holds a << 4 | b, and one
-    translate through the pair table adds every coordinate.  Above, column
+    are of the ring's ``_word_format`` type.  A one-word level is the zero
+    word, whose extensions are the multiples of ``row``.  Through the pair
+    table, a packed sum shifts w by 4 bits, so each byte holds a << 4 | b,
+    and one translate adds every coordinate.  Through one table per addend,
+    column
     j of the level is translated once per r through the table of
     +r*row[j], and written into word r of every w by one strided slice of a
     flat buffer that holds the next level, word after word.
     """
-    if ring.size > 256:
+    _, add, mul, *_ = _word_format(ring)
+    if add is None:
         scaled = [scale_word(ring, r, row) for r in range(ring.size)]
         return dict.fromkeys(word_add(ring, w, s) for w in level for s in scaled)
-    add, mul = ring.byte_tables
     if len(level) == 1:
         return dict.fromkeys(row.translate(m) for m in mul)
     n = len(row)
-    if ring.size <= PACK_LIMIT:
+    if isinstance(add, bytes):  # the pair table
         scaled = [int.from_bytes(row.translate(m), "big") for m in mul]
         return dict.fromkeys(
             (high | s).to_bytes(n, "big").translate(add)
@@ -306,7 +331,7 @@ def code_from_words(
     ring; the distinct words are checked once packed, and a word that
     cannot be packed is checked on its own.
     """
-    pack, packed = _packer(ring), set()
+    pack, packed = _word_format(ring)[0], set()
     try:
         for w in words:
             packed.add(pack(w))
@@ -413,7 +438,7 @@ def min_hamming_word_structure(
     """
     ring = code.ring
     cyclic_size = code.cyclic_size(c)
-    bits, reps, _ = ring.unit_orbits
+    bits, reps = ring.unit_orbits
     # the zero word has no nonzero entry, and alpha = 0
     alpha = reps[bits[next((x for x in c if x), 0)].bit_length() - 1]
     # {alpha * u: the smallest such unit u}

@@ -380,8 +380,9 @@ class Ring:
     character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
     (one walk over the left unit orbits), ``radical`` (read off it) and
     ``unit_orbits`` (the right unit orbits) are computed on first use and
-    kept on the ring.  There is no negation
-    table: -x is the column of 0 in row x of ``add_table``.
+    kept on the ring in ``_facts``, where ``lincode`` keeps the ring's word
+    format too; the ring itself knows nothing of codes.  There is no
+    negation table: -x is the column of 0 in row x of ``add_table``.
     """
 
     spec: RingSpec
@@ -446,17 +447,14 @@ class Ring:
         return self._facts["radical"]
 
     @property
-    def unit_orbits(self) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    def unit_orbits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The right unit orbits xU: the orbit of each element as the bit
-        1 << k of its orbit k, the smallest member of each orbit, and a memo
-        {set of orbits: |Rc|}.
+        1 << k of its orbit k, and the smallest member of each orbit.
 
         Orbits are numbered in index order of their smallest member, so {0}
         is orbit 0, and a set of orbits is the sum of their bits.  The weight
         from the character formula is constant on each orbit, and so is
-        ann_l, as ann_l(xu) = ann_l(x), so |Rc| depends only on the orbits
-        that c meets.  Every code over the ring (shortened, residual and
-        chain codes too) shares the memo, which ``LinearCode`` fills.
+        ann_l, as ann_l(xu) = ann_l(x).
         """
         if "orbits" not in self._facts:
             mul, units = self.mul_table, self.units
@@ -465,28 +463,8 @@ class Ring:
                 if x not in orbit:
                     orbit.update((y, len(reps)) for y in {mul[x][u] for u in units})
                     reps.append(x)
-            self._facts["orbits"] = (tuple(1 << orbit[x] for x in range(self.size)), tuple(reps), {})
+            self._facts["orbits"] = (tuple(1 << orbit[x] for x in range(self.size)), tuple(reps))
         return self._facts["orbits"]
-
-    @property
-    def byte_tables(self) -> tuple[bytes | tuple[bytes, ...], tuple[bytes, ...]]:
-        """Addition and multiplication as ``bytes.translate`` tables.
-
-        Only for rings of at most 256 elements, whose indices fit in a
-        byte.  ``mul[r][c]`` is rc.  Up to 16 elements, whose indices fit in
-        4 bits, ``add`` is one pair table: ``add[a << 4 | b]`` is a + b.
-        Above, ``add[s][x]`` is x + s, one table per addend.  Entries outside
-        the ring are 0.
-        """
-        if "bytes" not in self._facts:
-            if self.size > 256:
-                raise ValueError(f"{self.name} has more than 256 elements")
-            pad = bytes(256 - self.size)
-            add = tuple(bytes(row) + pad for row in self.add_table)
-            if self.size <= 16:
-                add = b"".join(row[:16] for row in add).ljust(256, b"\0")
-            self._facts["bytes"] = (add, tuple(bytes(row) + pad for row in self.mul_table))
-        return self._facts["bytes"]
 
     def __repr__(self) -> str:
         return f"Ring({self.name}, size={self.size})"

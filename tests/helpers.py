@@ -1,5 +1,7 @@
-"""Shared cached builders for the test suite, and the reference ring tables and chain certificate."""
+"""Shared cached builders for the test suite, the reference ring tables and
+chain certificate, and MacWilliams duality as a second method for codes."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm, prod
@@ -7,6 +9,7 @@ from math import lcm, prod
 from hypothesis import strategies as st
 
 import frobcode as fc
+from frobcode.homweight import CyclotomicSum, cyclotomic_reduce
 from frobcode.rings import _digits, _divmod_monic, _prime_power, _smallest_irreducible, _undigits
 
 # every ring exercised by the cross-checking suites
@@ -296,3 +299,96 @@ def reference_chain_certificate(code, stages) -> tuple:
         ("support chain inequality", chain_ineq),
     )
     return r, hypothesis, checks, ineq_lhs, ineq_rhs
+
+
+# ---------------------------------------------------------------------------
+# MacWilliams duality (J. A. Wood, "Duality for modules over finite rings and
+# applications to coding theory", Amer. J. Math. 121, 1999).  For a left code
+# C with right dual C' = {y : sum_j c_j y_j = 0 for every c in C} and a
+# generating character chi, |C| |C'| = |R|^n, and summing chi(c . y) over C
+# picks out C', so
+#
+#   |C| W_C'(X) = sum over c in C of prod_j sum_{Ub} K[c_j][Ub] X_Ub,
+#   K[a][Ub] = sum over y in Ub of chi(a y),
+#
+# where W_C' counts the words of C' by how many coordinates lie in each left
+# unit orbit Ub.  K[a] depends only on the right unit orbit aU of a, so the
+# right side reads C through its own orbit compositions.  K is computed here
+# from the ring's tables and character, and C' by sweeping R^n, apart from
+# the enumeration that made C.
+# ---------------------------------------------------------------------------
+
+def unit_orbit_index(ring, side: str) -> list[int]:
+    """Each element's left (Ub) or right (aU) unit orbit, numbered in index
+    order of the orbits' smallest members."""
+    mul, index, orbits = ring.mul_table, {}, 0
+    for x in range(ring.size):
+        if x not in index:
+            index.update(dict.fromkeys(
+                {mul[u][x] if side == "left" else mul[x][u] for u in ring.units}, orbits))
+            orbits += 1
+    return [index[x] for x in range(ring.size)]
+
+
+def _bump(composition: tuple, k: int) -> tuple:
+    return composition[:k] + (composition[k] + 1,) + composition[k + 1:]
+
+
+def right_dual_enumerator(ring, rows) -> Counter:
+    """W_C' of the right dual of the left code generated by ``rows``, as
+    {composition over left unit orbits: number of words}.
+
+    A sweep of R^n column by column: each prefix y_1..y_j carries the sums
+    sum_l g_l y_l of every row g and its composition so far, and prefixes
+    that agree on both are merged.  The words with every sum 0 are C'.
+    """
+    add, mul = ring.add_table, ring.mul_table
+    left = unit_orbit_index(ring, "left")
+    states = Counter({((0,) * len(rows), (0,) * (max(left) + 1)): 1})
+    for column in zip(*rows):
+        extended = Counter()
+        for (sums, composition), count in states.items():
+            for y in range(ring.size):
+                sums_y = tuple(add[s][mul[g][y]] for s, g in zip(sums, column))
+                extended[sums_y, _bump(composition, left[y])] += count
+        states = extended
+    return Counter({comp: count for (sums, comp), count in states.items() if not any(sums)})
+
+
+def krawtchouk(ring, char_exp, order) -> list[tuple[int, ...]]:
+    """K[a][Ub] = sum over y in Ub of chi(a y) for each element a, where
+    chi(x) is the ``order``-th root of unity to the power ``char_exp[x]``.
+
+    Each entry is an integer: for k prime to the order, k1 is a central unit,
+    so zeta -> zeta^k maps the sum over Ub to itself.  Asserts that K[a] is
+    the same for every a in one right unit orbit aU.
+    """
+    mul, left = ring.mul_table, unit_orbit_index(ring, "left")
+    orbits = [[y for y in range(ring.size) if left[y] == k] for k in range(max(left) + 1)]
+    K = []
+    for a in range(ring.size):
+        row = mul[a]
+        sums = [CyclotomicSum.from_exponents(order, [char_exp[row[y]] for y in ub]) for ub in orbits]
+        K.append(tuple(int(cyclotomic_reduce(s)) for s in sums))
+    assert all(K[mul[a][u]] == K[a] for a in range(ring.size) for u in ring.units)
+    return K
+
+
+def macwilliams_transform(code, K) -> Counter:
+    """sum over c in C of prod_j sum_{Ub} K[c_j][Ub] X_Ub, as {composition
+    over left unit orbits: coefficient}, read from C's compositions over
+    right unit orbits, one smallest member standing for each orbit."""
+    ring = code.ring
+    right = unit_orbit_index(ring, "right")
+    rep = [right.index(k) for k in right]
+    total = Counter()
+    for members, count in Counter(tuple(sorted(rep[x] for x in c)) for c in code).items():
+        poly = {(0,) * len(K[0]): count}
+        for a in members:
+            product_ = Counter()
+            for mono, coef in poly.items():
+                for k, entry in enumerate(K[a]):
+                    product_[_bump(mono, k)] += coef * entry
+            poly = product_
+        total.update(poly)
+    return Counter({mono: coef for mono, coef in total.items() if coef})

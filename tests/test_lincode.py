@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
-from frobcode.lincode import scale_word, word_add
-from helpers import ring, ring_specs, table
+from frobcode.lincode import _word_format, scale_word, word_add
+from helpers import (krawtchouk, macwilliams_transform, right_dual_enumerator, ring, ring_specs,
+                     table, unit_orbit_index)
 
 F = Fraction
 
@@ -262,8 +264,9 @@ def test_build_code_matches_the_tuple_sweep(spec, data):
 def test_byte_tables_are_the_operation_tables(spec):
     # one pair table up to 16 elements, then one table per addend
     r = ring(spec)
-    add, mul = r.byte_tables
-    assert r.byte_tables is r.byte_tables  # built once per ring
+    pack, add, mul, *_ = entry = _word_format(r)
+    assert _word_format(r) is entry is r._facts["words"]  # built once per ring
+    assert pack is bytes
     assert all(len(m) == 256 for m in mul) and len(mul) == r.size
     for a in range(r.size):
         for b in range(r.size):
@@ -272,9 +275,10 @@ def test_byte_tables_are_the_operation_tables(spec):
 
 
 def test_byte_tables_need_at_most_256_elements():
-    assert len(ring("GF(256)").byte_tables[0]) == 256
-    with pytest.raises(ValueError, match="more than 256"):
-        ring("GF(257)").byte_tables
+    pack, add, mul, to_class, _, _ = _word_format(ring("GF(256)"))
+    assert pack is bytes and len(add) == len(mul) == 256 and len(to_class) == 256
+    # above 256 elements words are tuples, with no translate tables
+    assert _word_format(ring("GF(257)"))[:5] == (tuple, None, None, None, None)
 
 
 def check_against_the_tuple_reference(code, rows):
@@ -355,7 +359,7 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
     # |C| ell(C), with each entry weighed as the least member of its class
     r, t = ring(spec), table(spec)
     code = fc.simplex(r, m, t)
-    bits, reps, _ = r.unit_orbits
+    bits, reps = r.unit_orbits
     by_class = [t.numerators[reps[b.bit_length() - 1]] for b in bits]
     read = sum(by_class[c] for w in code.word_order for c in w)
     per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
@@ -366,12 +370,16 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
 @pytest.mark.parametrize("spec", ["Z4", "Z9", "GF(16)", "M2(GF(2))", "Z25", "GF(27)"])
 def test_classes_are_unit_orbits_cut_by_weight(spec):
     # one map per ring, of whole orbits: the weight from characters is
-    # constant on each orbit, so cutting by it leaves the orbit whole
+    # constant on each orbit, so cutting by it leaves the orbit whole; the
+    # word format translates each element to its orbit's index
     r, t = ring(spec), table(spec)
-    bits, reps, _ = r.unit_orbits
+    bits, reps = r.unit_orbits
     assert r.unit_orbits is r._facts["orbits"]
     classes = [b.bit_length() - 1 for b in bits]
     assert classes[0] == 0 and list(reps) == sorted(reps) and bits == tuple(1 << k for k in classes)
+    _, _, _, to_class, class_bits, _ = _word_format(r)
+    assert list(to_class) == classes + [0] * (256 - r.size)
+    assert class_bits == [(k, 1 << k) for k in range(len(reps))]
     for x in range(r.size):
         assert reps[classes[x]] == min(y for y in range(r.size) if classes[y] == classes[x])
         orbit = {r.mul(x, u) for u in r.units}
@@ -402,18 +410,24 @@ def test_per_word_facts_on_512_classes():
 
 
 def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
-    # a ring of its own, so its memo starts empty: a code and its shortened
-    # and residual codes span each set of classes once between them
+    # a ring of its own, so its word format is not built yet and its memo
+    # starts empty: a code and its shortened, residual and chain codes share
+    # one entry, and span each set of classes once between them
     r = fc.build_ring(fc.parse_ring_spec("CHAIN(3)"))
     t = fc.hom_weight_table(r)
     spans, span = [], fc.lincode.cyclic_span
     monkeypatch.setattr(fc.lincode, "cyclic_span", lambda r, v: spans.append(tuple(v)) or span(r, v))
+    assert "words" not in r._facts
     code = fc.hjelmslev_line(r, t)
     c = code.word_order[-1]
-    _, reps, sizes = r.unit_orbits
-    for shared in [code, fc.shorten(code, c), fc.shorten(code, c, compact=True), fc.residual(code, c)]:
+    entry = r._facts["words"]
+    reps, sizes = r.unit_orbits[1], entry[5]
+    chain = [stage.code for stage in fc.residual_chain(code).stages]
+    assert len(chain) > 1
+    derived = [fc.shorten(code, c), fc.shorten(code, c, compact=True), fc.residual(code, c)]
+    for shared in [code, *derived, *chain]:
         check_per_word_facts(shared)
-        assert shared._classes[2] is sizes
+        assert shared._format is entry is _word_format(r)
     assert len(spans) == len(set(spans)) == len(sizes) > 1
     for mask, size in sizes.items():
         assert size == len(span(r, [x for k, x in enumerate(reps) if mask >> k & 1]))
@@ -431,6 +445,44 @@ def test_per_word_lists_match_the_per_word_facts(drawn, data):
     code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)))
     assert len(code.hamming_weights) == len(code.cyclic_sizes) == code.size
     check_per_word_facts(code)
+
+
+MACWILLIAMS_SPECS = ("Z4", "GF(4)", "CHAIN(2)", "M2(GF(2))", "Z6", "Z8", "Z2xZ4", "Z9", "M2(Z2)xZ2")
+
+
+def test_macwilliams_duality_checks_the_enumerated_codes():
+    # a second method for the word sets: the right dual, swept over R^n from
+    # the generator rows alone, has |R|^n / |C| words, and its left-orbit
+    # enumerator is the MacWilliams transform of the enumerated code
+    rng = random.Random(22)
+    codes = [fc.octacode(table("Z4"))]
+    for spec in MACWILLIAMS_SPECS:
+        r = ring(spec)
+        for _ in range(6):
+            k, n = rng.randint(1, 2), rng.randint(1, 4)
+            codes.append(fc.build_code(r, random_rows(rng, r, k, n), table(spec)))
+    kernels = {}
+    for code in codes:
+        r = code.ring
+        if r.name not in kernels:
+            kernels[r.name] = krawtchouk(r, r.char_exp, r.add_exponent)
+        dual = right_dual_enumerator(r, code.generators)
+        assert code.size * sum(dual.values()) == r.size ** code.n
+        assert macwilliams_transform(code, kernels[r.name]) == {
+            comp: code.size * count for comp, count in dual.items()}
+    # the Octacode is its own dual: its words and its dual's meet the left
+    # unit orbits alike
+    octa, left = codes[0], unit_orbit_index(ring("Z4"), "left")
+    assert right_dual_enumerator(octa.ring, octa.generators) == Counter(
+        tuple(sum(left[x] == k for x in c) for k in range(max(left) + 1)) for c in octa)
+    # 2 chi is not generating on Z4 (it vanishes on the ideal {0, 2}), and
+    # the identity then fails on the Octacode and on each drawn Z4 code
+    z4 = ring("Z4")
+    doubled = krawtchouk(z4, [2 * e for e in z4.char_exp], z4.add_exponent)
+    for code in codes[:7]:
+        dual = right_dual_enumerator(z4, code.generators)
+        assert macwilliams_transform(code, doubled) != {
+            comp: code.size * count for comp, count in dual.items()}
 
 
 def test_closure_exhaustive():
