@@ -171,7 +171,7 @@ def plotkin_refined(code: LinearCode, c: Sequence[int]) -> BoundReport:
     """Plotkin-type bound scaled by the cyclic submodule of a chosen word:
     M <= |Rc| * (d/gamma - ell(c)) / (d/gamma - n)."""
     c = tuple(c)
-    if c not in code.words:
+    if c not in code:
         raise ValueError("word is not in the code")
     return _refined_report(code, c, len(cyclic_span(code.ring, c)))
 
@@ -194,7 +194,7 @@ def best_plotkin_refined(code: LinearCode) -> BoundReport:
     ells, sizes = code.hamming_weights, code.cyclic_sizes
     best = min((i for i, h in enumerate(ells) if h * q < p),
                key=lambda i: sizes[i] * (p - ells[i] * q))
-    return _refined_report(code, code.word_order[best], sizes[best])
+    return _refined_report(code, code.word(best), sizes[best])
 
 
 def plotkin_minham(code: LinearCode) -> BoundReport:

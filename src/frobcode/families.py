@@ -243,4 +243,4 @@ def _select_chain_word(code: LinearCode) -> Word | None:
     ells, sizes = code.hamming_weights, code.cyclic_sizes
     best = min((i for i, h in enumerate(ells) if 0 < h < code.n),
                key=lambda i: (-sizes[i], ells[i]), default=None)
-    return None if best is None else code.word_order[best]
+    return None if best is None else code.word(best)

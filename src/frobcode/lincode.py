@@ -7,24 +7,24 @@ normalised homogeneous weight) is exact.  Coordinate positions are
 1-based throughout the public interface.
 
 Words are tuples of element indices in the public interface, and the
-per-word helpers index the ring's operation tables directly.  How words
-are held while they are enumerated is decided in one place,
-``_word_format``, built once per ring: over a ring of at most 256
-elements they are packed as bytes, one byte per coordinate, and addition
-and scaling are ``bytes.translate`` calls through its tables.  Up to 16
-elements a level of the enumeration is extended word by word through a
-table of pairs; above, column by column.  A word's |Rc| depends only on
-the classes it meets, the right unit orbits xU (``Ring.unit_orbits``), so
-every code over a ring shares the format's memo of |Rc| by set of
-classes.  A code gathers its per-word facts (Hamming weights, weight
-sums, class sets) before its words become tuples, translating each
-packed word into class indices and into indices of weight values, and
-reads |Rc| once per class set.
-Its support is read off its generator rows.  A derived (shortened or
-residual) code packs and sorts its words once, and its generators are
-picked greedily from them by the same enumeration.  Weight sums use the
-table's integer numerators over its one denominator and return a
-``Fraction`` only at the end.
+per-word helpers index the ring's operation tables directly.  How a code
+holds its words is decided in one place, ``_word_format``, built once per
+ring: over a ring of at most 256 elements they are packed as bytes, one
+byte per coordinate, and addition and scaling are ``bytes.translate``
+calls through its tables.  Up to 16 elements a level of the enumeration
+is extended word by word through a table of pairs; above, column by
+column.  A code keeps its words packed, and makes tuples only where it
+hands a word out.  A word's |Rc| depends only on the classes it meets,
+the right unit orbits xU (``Ring.unit_orbits``), so every code over a
+ring shares the format's memo of |Rc| by set of classes.  A code reads
+its per-word facts off the packed words, translating each into indices
+of weight values when the code is made, and into class indices when its
+|Rc| are first read, and reads |Rc| once per class set.  Its support is
+read off its generator rows.  A derived (shortened or residual) code
+packs and sorts its words once, and its generators are picked greedily
+from them by the same enumeration.  Weight sums use the table's integer
+numerators over its one denominator and return a ``Fraction`` only at
+the end.
 """
 
 from __future__ import annotations
@@ -116,33 +116,30 @@ def _word_format(ring: Ring) -> tuple:
 class LinearCode:
     """An enumerated left-linear code with cached exact parameters.
 
-    Immutable after construction.  ``word_order`` fixes a deterministic
-    iteration order (message order for generated codes, sorted order for
-    derived ones) used wherever a tie-break is needed.  The words are given
-    as a list in the ring's word format (``_word_format``): packed as bytes
-    over a ring of at most 256 elements.  The per-word facts are read from
-    the packed words, and ``word_order`` holds them as tuples.  Each word's
-    Hamming weight, weight numerator and set of classes (an int bitmask of
-    the right unit orbits of ``Ring.unit_orbits``) are read when the code is
-    made, and its |Rc| from the set of classes through the format's memo.  A
-    packed word is translated into class indices (at most 256 classes, so
-    one byte each), read by one membership test per class, and into indices
-    of weight values, read by one count per value, at any length; only the
-    table of weight values is made per code.  ``hamming_weights``
-    and ``cyclic_sizes`` are aligned with ``word_order``.  The
-    ``generators`` must generate ``word_order``: the support is read off
-    them, as coordinate i vanishes on the code exactly when it vanishes on
-    every generator.
+    Immutable after construction.  The words are held as the constructors
+    hand them over: a list in the ring's word format (``_word_format``),
+    packed as bytes over a ring of at most 256 elements, in a deterministic
+    order (message order for generated codes, sorted order for derived
+    ones) used wherever a tie-break is needed.  Tuples are the view the API
+    hands out: ``word(i)`` is the i-th word, and ``word_order`` (all of
+    them in order) and ``words`` (their set) are built on first read.
+    Membership packs the queried word and looks it up among the packed
+    ones.  Each word's Hamming weight and weight numerator are read when
+    the code is made: a packed word is translated into indices of weight
+    values, read by one count per value, at any length; only the table of
+    weight values is made per code.  Its set of classes (an int bitmask of
+    the right unit orbits of ``Ring.unit_orbits``) is read on the first
+    read of ``cyclic_sizes``, from the word translated into class indices
+    (at most 256 classes, so one byte each) by one membership test per
+    class, and its |Rc| from the set of classes through the format's memo.
+    ``hamming_weights`` and ``cyclic_sizes`` are aligned with
+    ``word_order``.  The ``generators`` must generate the words: the
+    support is read off them, as coordinate i vanishes on the code exactly
+    when it vanishes on every generator.
     """
 
-    def __init__(
-        self,
-        ring: Ring,
-        n: int,
-        generators: tuple[Word, ...],
-        word_order: list[Word | bytes],
-        table: HomWeightTable,
-    ):
+    def __init__(self, ring: Ring, n: int, generators: tuple[Word, ...], words: list[Word | bytes],
+                 table: HomWeightTable):
         # specs, not objects: two builds of one spec give identical tables
         if table.ring.spec != ring.spec:
             raise ValueError(f"weight table of {table.ring.name} given for a code over {ring.name}")
@@ -152,38 +149,46 @@ class LinearCode:
         self.generators = generators
         self.support = frozenset(i for i, col in enumerate(zip(*generators), 1) if any(col))
         self.ell_C = len(self.support)
-        self.hamming_weights = [n - w.count(0) for w in word_order]
-        pack, _, _, to_class, class_bits, _ = self._format = _word_format(ring)
+        self._packed = words  # distinct words, as both constructors pass them
+        self.size = len(words)
+        self.hamming_weights = [n - w.count(0) for w in words]
+        self._format = _word_format(ring)
         num = table.numerators
-        if pack is bytes:
-            # a packed word is translated into class indices, each class then
-            # read by one membership test, and into indices of weight values,
-            # each value then read by one count, all at C speed; a translation
-            # is dropped as soon as it is read, so none are held at once
+        if self._format[0] is bytes:
+            # a packed word is translated into indices of weight values, each
+            # value then read by one count, all at C speed; a translation is
+            # dropped as soon as it is read, so none are held at once
             values = sorted(set(num))
             to_values = bytes(values.index(v) for v in num).ljust(256, b"\0")
             value_terms = [(i, v) for i, v in enumerate(values) if v]
-            self._masks = [sum([bit for k, bit in class_bits if k in w])
-                           for w in map(bytes.translate, word_order, repeat(to_class))]
             weights = (sum([v * w.count(i) for i, v in value_terms])
-                       for w in map(bytes.translate, word_order, repeat(to_values)))
+                       for w in map(bytes.translate, words, repeat(to_values)))
         else:
-            bits = ring.unit_orbits[0]
-            weights = (sum([num[x] for x in w]) for w in word_order)
-            self._masks = [sum({bits[x] for x in set(w)}) for w in word_order]
+            weights = (sum([num[x] for x in w]) for w in words)
         least = min(compress(weights, self.hamming_weights), default=None)
-        del weights
         self.min_hamming = min(filter(None, self.hamming_weights), default=None)
         self.min_hom_norm = None if least is None else Fraction(least, table.denominator)
-        # unpacked in place, so each packed word is freed as its tuple is made
-        for i, w in enumerate(word_order):
-            word_order[i] = tuple(w)
-        self.word_order = tuple(word_order)
-        self.words = frozenset(self.word_order)
-        self.size = len(self.words)
-        # the per-word list read from the ring's memo, filled on first use; a
-        # plain field for the reason given on Ring._facts
-        self._cyclic_sizes: list[int] | None = None
+        # the views, the set of packed words and the per-word |Rc|, each made
+        # on first use; plain fields for the reason given on Ring._facts
+        self._word_order = self._words = self._members = self._cyclic_sizes = None
+
+    def word(self, i: int) -> Word:
+        """The i-th word of ``word_order``, as a tuple."""
+        return tuple(self._packed[i])
+
+    @property
+    def word_order(self) -> tuple[Word, ...]:
+        """Every word as a tuple, in the code's order."""
+        if self._word_order is None:
+            self._word_order = tuple(map(tuple, self._packed))
+        return self._word_order
+
+    @property
+    def words(self) -> frozenset[Word]:
+        """The set of the words as tuples."""
+        if self._words is None:
+            self._words = frozenset(self.word_order)
+        return self._words
 
     def _mask_cyclic_size(self, mask: int) -> int:
         """|Rc| for the words c that meet the classes of ``mask``."""
@@ -201,7 +206,7 @@ class LinearCode:
         that c meets, and one ``cyclic_span`` serves every word that meets
         the same classes.
         """
-        if tuple(c) not in self.words:
+        if c not in self:
             raise ValueError("word is not in the code")
         return self._mask_cyclic_size(sum({self.ring.unit_orbits[0][x] for x in set(c)}))
 
@@ -209,11 +214,25 @@ class LinearCode:
     def cyclic_sizes(self) -> list[int]:
         """|Rc| for each word c of ``word_order``, as ``cyclic_size`` reads it."""
         if self._cyclic_sizes is None:
-            self._cyclic_sizes = list(map(self._mask_cyclic_size, self._masks))
+            pack, _, _, to_class, class_bits, _ = self._format
+            if pack is bytes:
+                masks = (sum([bit for k, bit in class_bits if k in w])
+                         for w in map(bytes.translate, self._packed, repeat(to_class)))
+            else:
+                bits = self.ring.unit_orbits[0]
+                masks = (sum({bits[x] for x in set(w)}) for w in self._packed)
+            self._cyclic_sizes = list(map(self._mask_cyclic_size, masks))
         return self._cyclic_sizes
 
     def __contains__(self, word: Sequence[int]) -> bool:
-        return tuple(word) in self.words
+        """Whether ``word`` packs to a word of the code; a sequence that
+        cannot be packed (an entry outside 0..255, or not an int) is none."""
+        if self._members is None:
+            self._members = frozenset(self._packed)
+        try:  # through iter, as bytes(3) would be three zero bytes
+            return self._format[0](iter(word)) in self._members
+        except (TypeError, ValueError):
+            return False
 
     def __iter__(self):
         return iter(self.word_order)
@@ -348,8 +367,16 @@ def code_from_words(
             span = _extend_level(ring, span, w)
     if span.keys() != packed:
         raise ValueError("word set is not closed under the module operations")
-    del packed, span  # the words live on only in order, unpacked there in place
     return LinearCode(ring, n, tuple(gens) or ((0,) * n,), order, table)
+
+
+def _checked_word(code: LinearCode, x: Sequence[int]) -> Word:
+    """``x`` as a tuple, refused unless it is n elements of the code's ring."""
+    x = tuple(x)
+    if len(x) != code.n:
+        raise ValueError(f"word length {len(x)} does not match code length {code.n}")
+    _check_rows(code.ring, [x], code.n)
+    return x
 
 
 def _as_positions(code: LinearCode, s) -> frozenset[int]:
@@ -357,11 +384,7 @@ def _as_positions(code: LinearCode, s) -> frozenset[int]:
     if isinstance(s, (set, frozenset)):
         positions = frozenset(s)
     else:
-        word = tuple(s)
-        if len(word) != code.n:
-            raise ValueError(f"word length {len(word)} does not match code length {code.n}")
-        _check_rows(code.ring, [word], code.n)
-        positions = support(word)
+        positions = support(_checked_word(code, s))
     if not positions <= frozenset(range(1, code.n + 1)):
         raise ValueError(f"positions {sorted(positions)} outside 1..{code.n}")
     return positions
@@ -375,13 +398,10 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     """
     positions = _as_positions(code, s)
     outside = gather([i for i in range(code.n) if i + 1 not in positions])
-    kept = [w for w in code.word_order if not any(outside(w))]
+    kept, n = [w for w in code._packed if not any(outside(w))], code.n
     if compact:
         cols = [i - 1 for i in sorted(positions)]
-        kept = map(gather(cols), kept)
-        n = len(cols)
-    else:
-        n = code.n
+        kept, n = map(gather(cols), kept), len(cols)
     return code_from_words(code.ring, n, kept, code.table)
 
 
@@ -389,19 +409,16 @@ def residual(code: LinearCode, s) -> LinearCode:
     """Projection of the code onto the coordinates outside ``s``."""
     positions = _as_positions(code, s)
     cols = [i - 1 for i in range(1, code.n + 1) if i not in positions]
-    return code_from_words(code.ring, len(cols), map(gather(cols), code.word_order), code.table)
+    return code_from_words(code.ring, len(cols), map(gather(cols), code._packed), code.table)
 
 
 def coset_average(code: LinearCode, x: Sequence[int]) -> Fraction:
     """Average normalised weight over the coset x + C."""
-    x = tuple(x)
-    if len(x) != code.n:
-        raise ValueError(f"word length {len(x)} does not match code length {code.n}")
-    _check_rows(code.ring, [x], code.n)
+    x = _checked_word(code, x)
     # shifted[i][y] is the weight numerator of x_i + y
     num, add = code.table.numerators, code.ring.add_table
     shifted = [[num[s] for s in add[a]] for a in x]
-    total = sum(sum(map(getitem, shifted, c)) for c in code.word_order)
+    total = sum(sum(map(getitem, shifted, c)) for c in code._packed)
     return Fraction(total, code.table.denominator * code.size)
 
 
@@ -419,7 +436,7 @@ def cyclic_span(ring: Ring, word: Sequence[int]) -> frozenset[Word]:
 
 def cyclic_submodule(code: LinearCode, c: Sequence[int]) -> CyclicSubmodule:
     c = tuple(c)
-    if c not in code.words:
+    if c not in code:
         raise ValueError("word is not in the code")
     return CyclicSubmodule(generator=c, members=cyclic_span(code.ring, c))
 

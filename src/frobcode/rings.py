@@ -227,8 +227,11 @@ def parse_ring_spec(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
     then its inner spec, then its size literal.  Each term is checked as it
     is parsed.  A literal above ``cap`` raises ``CardinalityCapError`` before
     it is converted or factored: a literal is at most the size of its term,
-    so it puts every valid ring that contains it above the cap.  The size
-    of the whole ring is checked by ``build_ring``.
+    so it puts every valid ring that contains it above the cap.  So does
+    p^k above ``cap`` in ``GF(p^k)``, the literal of the ring's canonical
+    name ``GF(q)``, compared without building a power much above the cap;
+    so a canonical name parses back at the cap its spec parsed at.  The
+    size of the whole ring is checked by ``build_ring``.
 
     One pass counts the parentheses and the nesting; a recursive descent
     then reads the terms, looping over the factors of a product and
@@ -281,7 +284,12 @@ def _parse_spec(text: str, low: str, i: int, cap: int) -> tuple[RingSpec, int]:
         if error:
             error.resume = i
             raise error
-        args = [_literal(d, text[start:min(end, start + 40)], start, cap) for d in m.groups() if d]
+        shown = text[start:min(end, start + 40)]
+        args = [_literal(d, shown, start, cap) for d in m.groups() if d]
+        if m.lastindex == 4 and _capped_power(*args, cap) > cap:
+            # the size of GF(p^k), the literal of its canonical name GF(q)
+            raise CardinalityCapError(
+                f"{shown}: {args[0]}^{args[1]} is above the size cap {cap} (at position {start})")
         spec = _MAKE[m.lastindex](*args, *([inner] if m.lastindex == 6 else []))
         _check_term(spec)
         factors.append(spec)

@@ -140,6 +140,10 @@ SPEC_CORPUS = {
     "M600(Q8)": (_SpecError, "unrecognised ring term 'Q8' (at position 5)"),
     "M2(Z600)": (_CapError, "Z600: literal 600 is above the size cap 512 (at position 3)"),
     "GF(2^100000)": (_CapError, "GF(2^100000): literal 100000 is above the size cap 512 (at position 0)"),
+    # p^k is checked as the literal q of the canonical name GF(q) is
+    "GF(3^6)": (_CapError, "GF(3^6): 3^6 is above the size cap 512 (at position 0)"),
+    "Z2xM2(GF(2^512))": (_CapError, "GF(2^512): 2^512 is above the size cap 512 (at position 6)"),
+    "GF(4^5)": (_CapError, "GF(4^5): 4^5 is above the size cap 512 (at position 0)"),
     "CHAIN(1000000007)": (
         _CapError, "CHAIN(1000000007): literal 1000000007 is above the size cap 512 (at position 0)"),
     "Z" + "1" * 5000: (_CapError, "Z" + "1" * 39 + ": literal of 5000 digits is above the size cap 512"
@@ -238,9 +242,26 @@ def test_mutated_specs_parse_or_fail_cleanly(text):
         gc.enable()
     assert elapsed < 0.05
     if spec is not None:
-        # sizes are build_ring's to cap: GF(3^6) is parsed, and named GF(729)
-        name = fc.canonical_ring_name(spec)
-        assert fc.parse_ring_spec(name, cap=fc.rings.DEFAULT_CAP ** fc.rings.DEFAULT_CAP) == spec
+        # at the cap it parsed with
+        assert fc.parse_ring_spec(fc.canonical_ring_name(spec)) == spec
+
+
+@pytest.mark.parametrize("cap", [2, 8, 9, 511, 512, 728, 729, 1024, 2 ** 64])
+def test_gf_powers_and_their_canonical_names_parse_alike(cap):
+    # GF(p^k) and GF(p^k written out) parse to one spec, or both exceed the
+    # cap; a huge exponent is compared with the cap as cheaply as a small one
+    for p, k in [(2, 1), (3, 2), (2, 9), (3, 6), (2, 10), (5, 4), (7, 3), (2, 64)]:
+        outcomes = []
+        for text in (f"GF({p}^{k})", f"GF({p ** k})"):
+            try:
+                outcomes.append(fc.parse_ring_spec(text, cap=cap))
+            except fc.CardinalityCapError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1] == (fc.GF(p, k) if p ** k <= cap else None), (p, k)
+    start = time.perf_counter()
+    with pytest.raises(fc.CardinalityCapError, match=r"\^"):
+        fc.parse_ring_spec(f"GF(2^{cap})", cap=cap)
+    assert time.perf_counter() - start < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,62 @@ def test_boundary_rings_match_the_tuple_reference(spec):
 
 
 # ---------------------------------------------------------------------------
+# The tuple views of a code's packed words
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(ring_specs().map(lambda drawn: drawn[0]) | st.sampled_from(BOUNDARY_SPECS), st.data())
+def test_tuple_views_match_the_tuple_sweep(spec, data):
+    r, t = ring(spec), table(spec)
+    rows = data.draw(generator_rows(r, max_rows=2 if r.size <= 32 else 1))
+    code = fc.build_code(r, rows, t)
+    order = tuple_sweep(r, rows, code.n)
+    assert code._word_order is None and code._words is None  # made on first read
+    assert tuple(map(code.word, range(code.size))) == order
+    assert code.word_order == order == tuple(code) and code.size == len(order)
+    assert code.words == frozenset(order)
+    other = tuple(data.draw(st.lists(st.integers(0, r.size - 1), min_size=code.n, max_size=code.n)))
+    assert (other in code) == (list(other) in code) == (other in order)
+    average = sum((t.norm_weight[r.add(a, b)] for c in order for a, b in zip(other, c)), F(0))
+    assert fc.coset_average(code, other) == average / len(order)
+    for c in order[::max(1, len(order) // 6)]:
+        assert c in code and list(c) in code
+        members = frozenset(tuple(r.mul(a, x) for x in c) for a in range(r.size))
+        assert fc.cyclic_submodule(code, c).members == members
+        assert code.cyclic_size(c) == len(members) == code.cyclic_sizes[order.index(c)]
+        s = fc.support(c)
+        assert fc.shorten(code, c).words == {w for w in order if fc.support(w) <= s}
+        assert fc.residual(code, c).words == {
+            tuple(x for i, x in enumerate(w, 1) if i not in s) for w in order}
+
+
+@pytest.mark.parametrize("spec", ["Z4", *BOUNDARY_SPECS])
+def test_words_that_cannot_be_packed_are_not_members(spec):
+    r = ring(spec)
+    code = fc.build_code(r, [(1, 1, 0)], table(spec))
+    assert (1, 1, 0) in code and [1, 1, 0] in code
+    # wrong lengths, an entry of |R| or more, of 256 or more, negative, or
+    # not an int, and things that are not sequences of entries at all
+    for word in [(), (1, 1), (1, 1, 0, 0), (r.size, 0, 0), (0, 0, 256), (0, 0, 10 ** 30),
+                 (-1, 0, 0), (1, 1, -256), (1, 1, 0.5), (1, "1", 0), (None, 1, 0), ((1,), 1, 0),
+                 "110", 3, None]:
+        assert word not in code, word
+        with pytest.raises(ValueError, match="word is not in the code"):
+            code.cyclic_size(word)
+
+
+def test_bounds_and_the_chain_leave_the_tuple_views_unbuilt():
+    # check_all and the residual chain read the packed words and the
+    # per-word lists; only their witness and chain words become tuples
+    code = fc.simplex(ring("GF(2)"), 4, table("GF(2)"))
+    fc.check_all(code)
+    chain = fc.residual_chain(code)
+    assert chain.r > 0
+    for stage in chain.stages:
+        assert stage.code._word_order is None and stage.code._words is None
+
+
+# ---------------------------------------------------------------------------
 # Per-word facts through the class map, against their per-word definitions
 # ---------------------------------------------------------------------------
 
