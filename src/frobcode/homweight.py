@@ -13,9 +13,9 @@ gamma, and gamma is carried alongside for display; the table coerces
 and checks gamma itself.  Word weights are summed in an exact integer
 core: each table also holds w(x)/gamma as an integer numerator over one
 common denominator, and a ``Fraction`` is built only at the boundary,
-once per sum.  An independent oracle solves the weight axioms directly
-from the multiplication table, as a triangular system over the
-principal left ideals.  The solution is unique, so a table satisfies
+once per sum.  An independent oracle solves the weight axioms directly,
+as a triangular system over the principal left ideals and their
+generators.  The solution is unique, so a table satisfies
 the axioms exactly when it equals the oracle's, and every character
 table is checked that way.
 """
@@ -180,10 +180,7 @@ def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeight
     soc = socle_local(ring)  # raises NotLocalError on non-local input
     q = ring.size // len(ring.radical)
     heavy = Fraction(q, q - 1)
-    norm = tuple(
-        Fraction(0) if x == 0 else heavy if x in soc else Fraction(1)
-        for x in range(ring.size)
-    )
+    norm = (Fraction(0),) + tuple(heavy if x in soc else Fraction(1) for x in range(1, ring.size))
     return HomWeightTable(ring=ring, gamma=gamma, norm_weight=norm)
 
 
@@ -205,16 +202,23 @@ def solve_weight_axioms(ring: Ring) -> tuple[Fraction, ...]:
     disjoint union of the generator sets of the principal ideals inside
     it, so visiting ideals by increasing size solves the system bottom-up:
     W(Rx) = (|Rx| - sum of w over the non-generators of Rx) / |gen(Rx)|.
-    The solution always exists and is unique.  This uses only the
-    multiplication table, independent of the character formula, so the
-    two can cross-check.
+    That sum counts the members of Rx by their weight, and takes one
+    product of a weight and its count per distinct weight in Rx.  The
+    solution always exists and is unique.  This uses only the principal
+    left ideals and their generators, independent of the character
+    formula, so the two can cross-check.
     """
-    solution = [Fraction(0)] * ring.size
     ideals = sorted(ring.principal_left_ideals.items(), key=lambda item: len(item[0]))
+    # each element's weight so far, as the place of its value in ``weights``:
+    # one place per distinct value, and place 0, weight 0, for 0 and for the
+    # generators of the ideals not solved yet
+    place, weights, at = {Fraction(0): 0}, {0: Fraction(0)}, [0] * ring.size
     for members, gens in ideals:
-        # the generators of Rx are still 0 here, so this sums the non-generators
-        rest = sum(solution[y] for y in members)
-        value = (len(members) - rest) / len(gens)
+        # the generators of Rx still weigh 0 here, so this sums the non-generators
+        counts = Counter(map(at.__getitem__, members))
+        value = (len(members) - sum(weights[v] * c for v, c in counts.items())) / len(gens)
+        v = place.setdefault(value, len(place))
+        weights[v] = value
         for x in gens:
-            solution[x] = value
-    return tuple(solution)
+            at[x] = v
+    return tuple(map(weights.__getitem__, at))

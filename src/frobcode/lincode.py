@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from mmap import mmap
-from operator import getitem
+from operator import getitem, index
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
@@ -192,8 +192,9 @@ class LinearCode:
 
     def _mask_cyclic_size(self, mask: int) -> int:
         """|Rc| for the words c that meet the classes of ``mask``."""
-        sizes, reps = self._format[5], self.ring.unit_orbits[1]
+        sizes = self._format[5]
         if mask not in sizes:
+            reps = self.ring.unit_orbits[1]
             sizes[mask] = len(cyclic_span(self.ring, [x for k, x in enumerate(reps) if mask >> k & 1]))
         return sizes[mask]
 
@@ -221,16 +222,20 @@ class LinearCode:
             else:
                 bits = self.ring.unit_orbits[0]
                 masks = (sum({bits[x] for x in set(w)}) for w in self._packed)
-            self._cyclic_sizes = list(map(self._mask_cyclic_size, masks))
+            # a hit reads the memo; |Rc| >= 1, so only a miss spans
+            sizes = self._format[5]
+            self._cyclic_sizes = [sizes.get(mask) or self._mask_cyclic_size(mask) for mask in masks]
         return self._cyclic_sizes
 
     def __contains__(self, word: Sequence[int]) -> bool:
         """Whether ``word`` packs to a word of the code; a sequence that
-        cannot be packed (an entry outside 0..255, or not an int) is none."""
+        cannot be packed (an entry outside 0..255, or not an int) is none,
+        in either word format."""
         if self._members is None:
             self._members = frozenset(self._packed)
-        try:  # through iter, as bytes(3) would be three zero bytes
-            return self._format[0](iter(word)) in self._members
+        try:  # through map, as bytes(3) would be three zero bytes; index
+            # refuses a float equal to an int, which tuple() would keep
+            return self._format[0](map(index, word)) in self._members
         except (TypeError, ValueError):
             return False
 

@@ -16,8 +16,12 @@ rows.  Every row is made by C-level slices, gathers (``gather``) and list
 concatenation, with no Python arithmetic per entry, so the int objects of
 a table are shared from one range rather than allocated once per entry.
 The identity of a product or matrix ring is moved onto index 1 while its
-rows are made.  The units are read off the rows of the multiplication
-table.  Negation is not tabulated: the radical's quasi-regularity test,
+rows are made.  The units and the principal left ideals come from the
+same structure: Z_m by gcd, a field trivially, F_q[u]/(u^2) by whether
+the constant term is 0, and a product as the pairs of its factors'
+units and ideals, (R x S)(x, y) = Rx x Sy.  Only M_n(S) reads its units
+off the rows of the multiplication table and walks its ideals on first
+use.  Negation is not tabulated: the radical's quasi-regularity test,
 stated with 1 - y, reads 1 + y instead, since each left ideal is closed
 under negation.
 
@@ -35,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import getitem, itemgetter
 from typing import Sequence, Union
 
@@ -386,11 +390,12 @@ class Ring:
     ``add_table``/``mul_table`` are size x size lookup tables over element
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
     character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
-    (one walk over the left unit orbits), ``radical`` (read off it) and
-    ``unit_orbits`` (the right unit orbits) are computed on first use and
-    kept on the ring in ``_facts``, where ``lincode`` keeps the ring's word
-    format too; the ring itself knows nothing of codes.  There is no
-    negation table: -x is the column of 0 in row x of ``add_table``.
+    (given by the constructor, except for a matrix ring), ``radical`` (read
+    off it) and ``unit_orbits`` (the right unit orbits) are kept on the
+    ring in ``_facts``, the last two computed on first use; ``lincode``
+    keeps the ring's word format there too, and the ring itself knows
+    nothing of codes.  There is no negation table: -x is the column of 0
+    in row x of ``add_table``.
     """
 
     spec: RingSpec
@@ -419,7 +424,9 @@ class Ring:
     def principal_left_ideals(self) -> dict[frozenset[int], tuple[int, ...]]:
         """Every nonzero principal left ideal Rx, mapped to its generators.
 
-        One ``principal_ideal`` per unit orbit {ux}, as R(ux) = Rx; orbits
+        Each constructor but M_n(S) gives them from its structure when it
+        builds the ring.  A matrix ring walks them here on first use: one
+        ``principal_ideal`` per unit orbit {ux}, as R(ux) = Rx, and orbits
         generating one ideal share its entry.  Keys come in index order of
         their smallest generator, generators in index order.  The generator
         sets partition the nonzero elements, and Rx is the disjoint union of
@@ -496,13 +503,15 @@ class Ideal:
 
 # -- constructor kernels ----------------------------------------------------
 #
-# Each kernel returns (names, add, mul, add_exponent, char_exp) with the
-# multiplicative identity on index 1 and every row of add and mul a tuple,
-# made by slices, ``gather`` and list concatenation only.  A product or matrix
-# ring, whose identity has another raw index ``one``, swaps the labels 1 and
-# ``one`` in the ranges it gathers from, in its columns and in its rows as it
-# builds.  _build reads the units off the rows of mul: x is a unit iff 1 is in
-# x's row, since one-sided inverses are two-sided in a finite ring.
+# Each kernel returns (names, add, mul, add_exponent, char_exp, units,
+# ideals) with the multiplicative identity on index 1 and every row of add and
+# mul a tuple, made by slices, ``gather`` and list concatenation only.  A
+# product or matrix ring, whose identity has another raw index ``one``, swaps
+# the labels 1 and ``one`` in the ranges it gathers from, in its columns and in
+# its rows as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
+# come from the constructor's structure; a product reads its pairs through the
+# same swap.  M_n(S) alone scans its rows for the units and gives None for the
+# ideals, which the ring then walks on first use.
 
 
 def gather(indices: Sequence[int]):
@@ -578,7 +587,13 @@ def _build_zm(m: int):
     add = [wrapped[a:a + m] for a in range(m)]
     # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
     mul = [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
-    return list(map(str, residues)), add, mul, m, residues
+    # Rx is the multiples of d = gcd(x, m), and x generates it exactly when
+    # gcd(x, m) = d; d is the smallest generator, and d = 1 are the units
+    by_gcd: dict[int, list[int]] = {}
+    for x in residues[1:]:
+        by_gcd.setdefault(gcd(x, m), []).append(x)
+    ideals = {frozenset(residues[::d]): tuple(gens) for d, gens in by_gcd.items()}
+    return list(map(str, residues)), add, mul, m, residues, by_gcd[1], ideals
 
 
 def _times(images: Sequence[int], add, p: int) -> tuple[int, ...]:
@@ -647,7 +662,8 @@ def _build_gf(p: int, k: int):
         total = tuple(map(getitem, gather(total)(add), power))
     if max(total) >= p:
         raise CharacterError(f"the trace of GF({p}^{k}) left the prime field")
-    return names, add, mul, p, total
+    nonzero = tuple(range(1, size))  # the units, which all generate R
+    return names, add, mul, p, total, nonzero, {frozenset(range(size)): nonzero}
 
 
 def _build_mat(n: int, inner: Ring):
@@ -690,6 +706,7 @@ def _build_mat(n: int, inner: Ring):
             for x in above:
                 row += pick(add[x])
         mul.append(tuple(_swap(row, one)))
+    mul = _swap(mul, one)
 
     char = []
     inner_add, diagonal = inner.add_table, gather([r * n + r for r in range(n)])
@@ -698,7 +715,11 @@ def _build_mat(n: int, inner: Ring):
         for x in diagonal(a):
             tr = inner_add[tr][x]
         char.append(inner.char_exp[tr])
-    return _swap(names, one), add, _swap(mul, one), inner.add_exponent, _swap(char, one)
+    # the generic facts: x is a unit iff 1 is in its row, as one-sided
+    # inverses are two-sided in a finite ring, and the ideals are walked on
+    # first use by Ring.principal_left_ideals
+    units = [u for u, row in enumerate(mul) if 1 in row]
+    return _swap(names, one), add, mul, inner.add_exponent, _swap(char, one), units, None
 
 
 def _build_prod(left: Ring, right: Ring):
@@ -713,7 +734,26 @@ def _build_prod(left: Ring, right: Ring):
         ((n // n_left) * a + (n // n_right) * b) % n
         for a in left.char_exp for b in right.char_exp
     ]
-    return _swap(names, one), add, mul, n, _swap(char, one)
+    # the units are the pairs of units, and (R x S)(x, y) = Rx x Sy, generated
+    # exactly by the pairs of generators; pairs read through the relabelling
+    s = right.size
+    labels = _labels(len(names), one)
+    blocks = [labels[a:a + s] for a in range(0, len(names), s)]
+
+    def pairs(lefts, rights):  # the labels of (a, b), a in lefts, b in rights
+        return chain.from_iterable(map(gather(tuple(rights)), gather(tuple(lefts))(blocks)))
+
+    zero = {frozenset([0]): (0,)}
+    ideals = [
+        (frozenset(pairs(lm, rm)), tuple(sorted(pairs(lg, rg))))
+        for lm, lg in (zero | left.principal_left_ideals).items()
+        for rm, rg in (zero | right.principal_left_ideals).items()
+    ]
+    # keys in order of their smallest generator: the zero ideal, generated
+    # by 0 alone, sorts first
+    ideals.sort(key=lambda item: item[1][0])
+    units = pairs(left.units, right.units)
+    return _swap(names, one), add, mul, n, _swap(char, one), units, dict(ideals[1:])
 
 
 def _build_chain(q: int, fld: Ring):
@@ -733,7 +773,12 @@ def _build_chain(q: int, fld: Ring):
             for ad in fmul[a]:
                 row += pick(add[q * ad])
             mul.append(tuple(row))
-    return names, add, mul, fld.add_exponent, char
+    # a + bu is a unit iff a != 0, and the only other nonzero principal left
+    # ideal is Ru = {bu}, generated by its nonzero members
+    size = q * q
+    units = tuple(x for x in range(size) if x % q)
+    ideals = {frozenset(range(size)): units, frozenset(range(0, size, q)): tuple(range(q, size, q))}
+    return names, add, mul, fld.add_exponent, char, units, ideals
 
 
 def _build(spec: RingSpec) -> Ring:
@@ -751,19 +796,22 @@ def _build(spec: RingSpec) -> Ring:
     else:
         raise RingSpecError(f"unknown ring spec {spec!r}")
 
-    names, add, mul, n_exp, char = parts
-    return Ring(
+    names, add, mul, n_exp, char, units, ideals = parts
+    ring = Ring(
         spec=spec,
         name=canonical_ring_name(spec),
         size=len(names),
         add_table=tuple(add),
         mul_table=tuple(mul),
-        units=frozenset(u for u, row in enumerate(mul) if 1 in row),
+        units=frozenset(units),
         add_exponent=n_exp,
         char_exp=tuple(char),
         element_names=tuple(names),
         _name_index=dict(zip(names, range(len(names)))),
     )
+    if ideals is not None:
+        ring._facts["ideals"] = ideals
+    return ring
 
 
 def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
@@ -774,8 +822,8 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
     ``CharacterError`` if the built-in character is not additive on a
     generating set of (R, +) or has a nonzero principal left ideal in its
     kernel (an internal consistency failure; see
-    ``is_generating_character``).  The test computes
-    ``principal_left_ideals``.
+    ``is_generating_character``).  The test reads
+    ``principal_left_ideals``, which a matrix ring walks there.
     """
     if _capped_cardinality(spec, cap) > cap:
         # not named: the name of a huge field spells out its size

@@ -1,5 +1,6 @@
-"""Shared cached builders for the test suite, the reference ring tables and
-chain certificate, and MacWilliams duality as a second method for codes."""
+"""Shared cached builders for the test suite, the reference ring tables,
+ring facts and chain certificate, and MacWilliams duality as a second
+method for codes."""
 
 from collections import Counter
 from fractions import Fraction
@@ -248,6 +249,44 @@ def _relabel_identity(one, names, add, mul, char):
     add = swap([swap([perm[x] for x in row]) for row in add])
     mul = swap([swap([perm[x] for x in row]) for row in mul])
     return swap(list(names)), add, mul, swap(list(char))
+
+
+# ---------------------------------------------------------------------------
+# Reference ring facts: the generic scan and walk over the tables, which the
+# package keeps only for M_n(S), and the weight oracle with one Fraction
+# addition per member.  The package takes the other constructors' facts from
+# their structure, and sums each ideal with one product per distinct weight.
+# ---------------------------------------------------------------------------
+
+def reference_units(r) -> frozenset:
+    """x is a unit iff 1 is in its row: one-sided inverses are two-sided."""
+    return frozenset(u for u, row in enumerate(r.mul_table) if 1 in row)
+
+
+def reference_principal_left_ideals(r) -> dict:
+    """Rx once per left unit orbit {ux}, keyed by members, generators sorted."""
+    mul, units = r.mul_table, reference_units(r)
+    ideals, seen = {}, set()
+    for x in range(1, r.size):
+        if x not in seen:
+            orbit = {mul[u][x] for u in units}
+            seen |= orbit
+            ideals.setdefault(frozenset(row[x] for row in mul), []).extend(orbit)
+    return {members: tuple(sorted(gens)) for members, gens in ideals.items()}
+
+
+def reference_solve_weight_axioms(r) -> tuple:
+    """The triangular system solved by increasing ideal size, summing the
+    weights of the members of each ideal one by one."""
+    solution = [Fraction(0)] * r.size
+    ideals = reference_principal_left_ideals(r)
+    for members, gens in sorted(ideals.items(), key=lambda item: len(item[0])):
+        # the generators of Rx are still 0 here, so this sums the non-generators
+        rest = sum(solution[y] for y in members)
+        value = (len(members) - rest) / len(gens)
+        for x in gens:
+            solution[x] = value
+    return tuple(solution)
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,18 @@ def test_words_that_cannot_be_packed_are_not_members(spec):
             code.cyclic_size(word)
 
 
+@pytest.mark.parametrize("spec", ["Z4", "GF(257)"])
+def test_membership_is_the_same_in_both_word_formats(spec):
+    # Z4 packs words as bytes and GF(257) keeps tuples; an entry that is
+    # not an int is refused by both, even when it equals one
+    code = fc.build_code(ring(spec), [(1, 0)], table(spec))
+    assert (1, 0) in code and [1, 0] in code and (True, False) in code
+    for word in [(1.0, 0.0), (1.0, 0), (1, 0.0), (Fraction(1), 0), (1 + 0j, 0)]:
+        assert word not in code, word
+        with pytest.raises(ValueError, match="word is not in the code"):
+            code.cyclic_size(word)
+
+
 def test_bounds_and_the_chain_leave_the_tuple_views_unbuilt():
     # check_all and the residual chain read the packed words and the
     # per-word lists; only their witness and chain words become tuples

@@ -1,8 +1,9 @@
 """The per-ring facts against their per-element definitions.
 
-``Ring.principal_left_ideals`` walks one unit orbit at a time, the radical
-and the generating test read its grouping, and ``hom_weight_table`` takes
-one character sum per right unit orbit.  The references here are the
+``Ring.principal_left_ideals`` comes from each constructor's structure (a
+matrix ring walks one unit orbit at a time), the radical and the
+generating test read its grouping, and ``hom_weight_table`` takes one
+character sum per right unit orbit.  The references here are the
 direct loops over every element: Rx for each x, the quasi-regularity
 scan, and one cyclotomic reduction per element.  ``verify_axioms`` must
 accept the character table and reject it with one weight raised.  The

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 import frobcode as fc
-from helpers import CAP_SPECS, SUITE_SPECS, reference_tables, ring, ring_specs
+from helpers import (CAP_SPECS, SUITE_SPECS, reference_principal_left_ideals,
+                     reference_solve_weight_axioms, reference_tables, reference_units, ring,
+                     ring_specs)
 
 # rings small enough for cubic axiom sweeps
 SMALL_SPECS = ["Z2", "Z4", "Z6", "Z9", "GF(4)", "GF(8)", "GF(9)", "M2(GF(2))", "Z2xZ3", "CHAIN(2)", "CHAIN(3)"]
@@ -422,6 +424,27 @@ def test_tables_match_reference_kernels(drawn):
 @pytest.mark.parametrize("spec", CAP_SPECS)
 def test_cap_tables_match_reference_kernels(spec):
     _assert_reference_tables(ring(spec))
+
+
+def _assert_reference_facts(r):
+    # in order: units ascending, ideals by smallest generator, generators
+    # ascending, and the oracle's weights by element
+    assert sorted(r.units) == sorted(reference_units(r))
+    assert list(r.principal_left_ideals.items()) == list(reference_principal_left_ideals(r).items())
+    assert list(fc.solve_weight_axioms(r)) == list(reference_solve_weight_axioms(r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_specs())
+def test_facts_match_generic_reference(drawn):
+    _assert_reference_facts(ring(drawn[0]))
+
+
+# every pinned ring, with products of a matrix factor among them
+# (M2(Z2)xZ2, Z3xM2(GF(2))xZ5, M2(Z2)xM2(Z2))
+@pytest.mark.parametrize("spec", sorted(set(CAP_SPECS) | set(PARENT_TABLE_DIGESTS)))
+def test_pinned_facts_match_generic_reference(spec):
+    _assert_reference_facts(ring(spec))
 
 
 @pytest.mark.parametrize("spec", SUITE_SPECS)
