@@ -250,8 +250,12 @@ def _cmd_ring_info(args) -> int:
 
 def _cmd_weight(args) -> int:
     table = _table(args)
-    for x, name in enumerate(table.ring.element_names):
-        print(f"{name}: {table.weight(x)}")
+    # one string per distinct value object, which a table shares among the
+    # elements of one value
+    values = {id(w): w for w in table.norm_weight}
+    shown = {key: str(table.gamma * w) for key, w in values.items()}
+    sys.stdout.write("".join(f"{name}: {shown[id(w)]}\n"
+                             for name, w in zip(table.ring.element_names, table.norm_weight)))
     return 0
 
 

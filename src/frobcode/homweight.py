@@ -166,9 +166,16 @@ def verify_axioms(table: HomWeightTable) -> bool:
       nonzero.
 
     So a table satisfies the axioms exactly when it equals the solution.
-    ``solve_weight_axioms`` must not call this function.
+    ``solve_weight_axioms`` must not call this function.  Both tables share
+    one value object among many elements, so each distinct pair of objects
+    is compared once; the tables keep the objects alive while their ids key
+    the pairs.
     """
-    return table.norm_weight == solve_weight_axioms(table.ring)
+    weights, solution = table.norm_weight, solve_weight_axioms(table.ring)
+    if len(weights) != len(solution):
+        return False
+    pairs = dict(zip(zip(map(id, weights), map(id, solution)), zip(weights, solution)))
+    return all(x == y for x, y in pairs.values())
 
 
 def local_socle_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:

@@ -222,6 +222,25 @@ def test_verify_axioms_rejects_nonzero_at_zero():
     assert not fc.verify_axioms(bad)
 
 
+def test_verify_axioms_compares_every_element_of_a_shared_value():
+    # the table holds one Fraction per unit orbit, shared by the orbit's
+    # elements; verify_axioms compares each distinct pair of value objects
+    # once, so one element moved onto another orbit's value object must
+    # still fail, and a copy of its own value equal but not identical pass
+    t = table("Z9")
+    weights = t.norm_weight
+    assert sum(w is weights[1] for w in weights) == 6  # the units share one
+    moved = list(weights)
+    moved[1] = weights[3]
+    assert weights[3] != weights[1]
+    assert not fc.verify_axioms(fc.HomWeightTable(ring=t.ring, gamma=t.gamma, norm_weight=tuple(moved)))
+    copied = list(weights)
+    copied[1] = F(weights[1].numerator, weights[1].denominator)
+    assert copied[1] is not weights[1]
+    assert fc.verify_axioms(fc.HomWeightTable(ring=t.ring, gamma=t.gamma, norm_weight=tuple(copied)))
+    assert not fc.verify_axioms(fc.HomWeightTable(ring=t.ring, gamma=t.gamma, norm_weight=weights[:-1]))
+
+
 def test_any_hamming_multiple_is_homogeneous_on_fields():
     r = ring("GF(5)")
     t = fc.HomWeightTable(

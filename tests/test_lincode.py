@@ -282,14 +282,18 @@ def test_byte_tables_need_at_most_256_elements():
 
 
 def check_against_the_tuple_reference(code, rows):
-    """``word_order``, the per-word facts and the derived codes of a code
-    built from ``rows``, against the tuple sweep and per-word definitions;
-    over more than 64 elements |Rc| is checked on every 5th word."""
+    """``word_order``, the per-word facts, a coset average and the derived
+    codes of a code built from ``rows``, against the tuple sweep and
+    per-word definitions; over more than 64 elements |Rc| is checked on
+    every 5th word."""
     r, n = code.ring, code.n
     sample = 1 if r.size <= 64 else 5
     order = tuple_sweep(r, rows, n)
     assert code.word_order == order
     check_per_word_facts(code, sample)
+    x = tuple((3 * i + 1) % r.size for i in range(n))
+    total = sum(code.table.numerators[r.add(a, c)] for w in order for a, c in zip(x, w))
+    assert fc.coset_average(code, x) == F(total, code.table.denominator * len(order))
     for s in [set(range(1, n + 1, 2)), fc.support(order[-1])]:
         inside = [w for w in order if fc.support(w) <= s]
         cols = [i - 1 for i in sorted(s)]
@@ -455,13 +459,19 @@ def test_classes_are_unit_orbits_cut_by_weight(spec):
             y for y in orbit if t.numerators[y] == t.numerators[x]}
 
 
+def odd_table(r):
+    """A weight table of the ring ``r`` that is not constant on the unit
+    orbits of most rings, with numerators 2..4 over 2."""
+    return fc.HomWeightTable(ring=r, gamma=F(1), norm_weight=tuple(
+        F(0) if x == 0 else F(x % 3 + 1, 2) for x in range(r.size)))
+
+
 @pytest.mark.parametrize("spec", ["Z5", "GF(9)", "Z19"])
 def test_per_word_facts_under_weights_not_constant_on_unit_orbits(spec):
     # the units of these rings form one orbit, which this table cuts by
     # weight: weights are read per element, |Rc| per whole orbit
     r = ring(spec)
-    odd = fc.HomWeightTable(ring=r, gamma=F(1), norm_weight=tuple(
-        F(0) if x == 0 else F(x % 3 + 1, 2) for x in range(r.size)))
+    odd = odd_table(r)
     assert len(r.unit_orbits[1]) == 2
     rng = random.Random(spec)
     for k, n in [(1, 3), (2, 5), (1, 40)]:
@@ -506,13 +516,72 @@ def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
 def test_per_word_lists_match_the_per_word_facts(drawn, data):
     r = ring(drawn[0])
     k = data.draw(st.integers(1, 2 if r.size <= 16 else 1))
-    # short and long words, read through the class map alike: packed words
-    # by class counts, tuples per coordinate
+    # short and long words: packed words of codes with at least 4n words
+    # by columns, the rest word by word, tuples per coordinate
     n = data.draw(st.integers(1, 8) | st.integers(120, 130))
     row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
     code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)))
     assert len(code.hamming_weights) == len(code.cyclic_sizes) == code.size
     check_per_word_facts(code)
+
+
+# Rings for the column reads of packed words (at least 4n words of n bytes):
+# GF(256) weighs nonzero elements 256/255, a numerator past one byte, so
+# its weights are read word by word, and Z2^4 has 16 classes, past the 8
+# bits of a byte lane, so its classes are; GF(16) and CHAIN(13) words of
+# more than 15 and 19 entries add their weights in more than one chunk of
+# byte lanes; Z9 and M2(GF(2)) are rings of the sweep workload, M2(GF(2))
+# not commutative; the units of Z5 and Z19 form one orbit, which
+# ``odd_table`` cuts by weight.
+COLUMN_SPECS = ["GF(256)", "Z2xZ2xZ2xZ2", "Z9", "M2(GF(2))", "GF(16)", "CHAIN(13)", "Z5", "Z19"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(COLUMN_SPECS), st.booleans(), st.data())
+def test_column_reads_match_the_tuple_reference(spec, odd, data):
+    # codes of M words on both sides of M = 4n: words of up to M/2 entries,
+    # under the ring's table or one not constant on its unit orbits, and
+    # with some coordinates zero on every row, so that the coset averages
+    # depend on x off the support
+    r = ring(spec)
+    t = odd_table(r) if odd else table(spec)
+    k = data.draw(st.integers(1, 2 if r.size <= 16 else 1))
+    n = data.draw(st.integers(1, min(r.size ** k // 2, 96)))
+    word = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+    zero = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    rows = [tuple(0 if i in zero else x for i, x in enumerate(row))
+            for row in data.draw(st.lists(word, min_size=k, max_size=k))]
+    check_against_the_tuple_reference(fc.build_code(r, rows, t), rows)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_lane_sums_match_the_per_word_sums(data):
+    # byte tables up to 255, about half their entries at the top, on words
+    # long enough for several chunks of byte lanes: each chunk holds as many
+    # columns as cannot carry, which a word of top entries only fills
+    top = data.draw(st.sampled_from([1, 2, 16, 128, 255]) | st.integers(1, 255))
+    table = bytes(data.draw(st.lists(st.integers(0, top) | st.just(top), min_size=256, max_size=256)))
+    top = max(table)
+    n = data.draw(st.integers(1, 300))
+    words = data.draw(st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=40))
+    words.append(bytes([table.index(top)]) * n)
+    sums = list(fc.lincode._lane_sums(words, n, table, top))
+    assert sums == [sum(table[x] for x in w) for w in words]
+
+
+def test_facts_are_read_by_columns_from_four_words_per_coordinate(monkeypatch):
+    # one row of units over Z4 makes 4 words: 4 >= 4n only at n = 1, where
+    # the weights, Hamming weights, classes, shortening, projection and
+    # coset average each read the code's columns once; words above 256
+    # elements are tuples, never read by columns
+    read, columns = [], fc.lincode._columns
+    monkeypatch.setattr(fc.lincode, "_columns", lambda words, *rest: read.append(words) or columns(
+        words, *rest))
+    for spec, n, reads in [("Z4", 1, 6), ("Z4", 2, 0), ("GF(257)", 1, 0)]:
+        code = fc.build_code(ring(spec), [(1,) * n], table(spec))
+        code.cyclic_sizes, fc.shorten(code, {1}), fc.residual(code, {1}), fc.coset_average(code, (1,) * n)
+        assert sum(words is code._packed for words in read) == reads
 
 
 MACWILLIAMS_SPECS = ("Z4", "GF(4)", "CHAIN(2)", "M2(GF(2))", "Z6", "Z8", "Z2xZ4", "Z9", "M2(Z2)xZ2")
