@@ -28,7 +28,7 @@ from .families import (
     residual_chain,
     simplex,
 )
-from .homweight import HomWeightTable, hom_weight_table
+from .homweight import hom_weight_table
 from .lincode import LinearCode, build_code, ell, read_generator_rows, write_generator_file
 from .rings import DEFAULT_CAP, Ring, build_ring, parse_ring_spec
 
@@ -75,7 +75,7 @@ _GAMMA_DIGITS = 4000
 
 def _gamma(text: str) -> Fraction:
     mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
     size = sum(map(str.isdigit, mantissa))
     if exponent.isdigit():
         # a long exponent is over the limit without being converted
@@ -84,6 +84,10 @@ def _gamma(text: str) -> Fraction:
     if size > _GAMMA_DIGITS:
         raise ValueError(f"--gamma literal's digits plus exponent exceed {_GAMMA_DIGITS}")
     try:
+        if "_" in text:
+            # Fraction() reads PEP 515 underscores ("1_0" is 10) from Python
+            # 3.11 on and refuses them on 3.10: refused here on every version
+            raise ValueError
         gamma = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--gamma {text!r} is not a rational p/q") from None
@@ -92,15 +96,9 @@ def _gamma(text: str) -> Fraction:
     return gamma
 
 
-def _table(args) -> HomWeightTable:
-    # the ring, then --gamma: an error names the first of the two that fails
-    ring = _ring(args.ring)
-    return hom_weight_table(ring, _gamma(args.gamma))
-
-
 def _load_code(args) -> LinearCode:
-    table = _table(args)
-    return build_code(table.ring, read_generator_rows(args.gen, table.ring), table)
+    ring = _ring(args.ring)
+    return build_code(ring, read_generator_rows(args.gen, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,9 @@ def _cmd_ring_info(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    table = _table(args)
+    # the ring, then --gamma: an error names the first of the two that fails
+    ring = _ring(args.ring)
+    table = hom_weight_table(ring, _gamma(args.gamma))
     # one string per distinct value object, which a table shares among the
     # elements of one value
     values = {id(w): w for w in table.norm_weight}
@@ -283,12 +283,10 @@ def _cmd_family(args) -> int:
     family, extra = args.command.split()[1], {}
     if family == "octacode":
         code = octacode()
+    elif family == "simplex":
+        code, extra = simplex(_ring(args.ring), args.m), {"m": args.m}
     else:
-        table = _table(args)
-        if family == "simplex":
-            code, extra = simplex(table.ring, args.m, table), {"m": args.m}
-        else:
-            code = hjelmslev_line(table.ring, table)
+        code = hjelmslev_line(_ring(args.ring))
     if args.emit_gen:
         write_generator_file(args.emit_gen, code.ring, code.generators)
     reports = check_all(code)
@@ -321,7 +319,7 @@ _OPTIONS = {
     "--ring": dict(required=True, help="ring spec, e.g. Z4, GF(9), M2(GF(2)), Z2xZ3, CHAIN(2)"),
     "--gen": dict(required=True, help="generator matrix file"),
     "-m": dict(type=int, required=True, help="number of generator rows"),
-    "--gamma": dict(default="1", help="average weight value as p/q (default 1)"),
+    "--gamma": dict(default="1", help="average weight as p/q, scales the printed table (default 1)"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--emit-gen": dict(help="write the generator matrix to a file"),
 }
@@ -338,12 +336,12 @@ _GROUPS = {
 _COMMANDS = (
     ("ring info", "size, units and additive exponent", "--ring", _cmd_ring_info),
     ("weight", "print the exact homogeneous weight table", "--ring --gamma", _cmd_weight),
-    ("code analyze", "parameters of a generated code as JSON", "--ring --gen --gamma", _cmd_code_analyze),
-    ("bounds check", "evaluate every bound on a code", "--ring --gen --gamma --json", _cmd_bounds_check),
-    ("family simplex", "simplex code over a ring", "--ring -m --gamma --json --emit-gen", _cmd_family),
+    ("code analyze", "parameters of a generated code as JSON", "--ring --gen", _cmd_code_analyze),
+    ("bounds check", "evaluate every bound on a code", "--ring --gen --json", _cmd_bounds_check),
+    ("family simplex", "simplex code over a ring", "--ring -m --json --emit-gen", _cmd_family),
     ("family octacode", "the quaternary Octacode", "--json --emit-gen", _cmd_family),
-    ("family hjelmslev", "projective Hjelmslev line code", "--ring --gamma --json --emit-gen", _cmd_family),
-    ("chain", "residual-chain certificate of a code", "--ring --gen --gamma --json", _cmd_chain),
+    ("family hjelmslev", "projective Hjelmslev line code", "--ring --json --emit-gen", _cmd_family),
+    ("chain", "residual-chain certificate of a code", "--ring --gen --json", _cmd_chain),
 )
 
 
