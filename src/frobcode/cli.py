@@ -76,8 +76,10 @@ _GAMMA_DIGITS = 4000
 def _gamma(text: str) -> Fraction:
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").lstrip("0")
-    size = sum(map(str.isdigit, mantissa))
-    if exponent.isdigit():
+    # isdecimal, not isdigit, which is true for "²" and other digits that
+    # int() and Fraction() refuse
+    size = sum(map(str.isdecimal, mantissa))
+    if exponent.isdecimal():
         # a long exponent is over the limit without being converted
         long = len(exponent) > len(str(_GAMMA_DIGITS))
         size += _GAMMA_DIGITS + 1 if long else int(exponent)

@@ -32,9 +32,13 @@ GF(2), m = 12) columns took 2.3 times as long, and the whole family job
 ``shorten`` keeps the words whose columns outside S OR to zero, and
 ``residual`` writes the kept columns into one buffer by strided slice
 assignments and slices it into words (``_project``).  A code's support
-is read off its generator rows.  A derived (shortened or residual) code
-checks its packed words in a few whole passes, sorts them once, and its
-generators are picked greedily from them by the same enumeration.
+is read off its generator rows.  A residual code, and a shortened code
+that drops no word, takes its parent's generators cut to its
+coordinates, as the cut of a span is the span of the cut rows
+(``_cut``); its words are sorted once.  A shortened code that drops
+words is a kernel with no generators at hand: ``code_from_words``
+checks its packed words in a few whole passes, sorts them once, and
+picks its generators greedily from them by the same enumeration.
 Weight sums use the table's integer numerators over its one denominator
 and return a ``Fraction`` only at the end.
 """
@@ -423,7 +427,8 @@ def _extend_level(ring: Ring, level: Collection, row) -> dict:
 
 def code_from_words(ring: Ring, n: int, words: Iterable[Sequence[int]],
                     table: HomWeightTable) -> LinearCode:
-    """Wrap an already-enumerated submodule of R^n as a code.
+    """Wrap an already-enumerated submodule of R^n as a code: words from
+    the user, and the words a ``shorten`` keeps when it drops some.
 
     The words are packed once and sorted once (bytes sort as the tuples of
     their values do), which fixes ``word_order``.  A word outside the span
@@ -482,6 +487,10 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
 
     The result keeps the ambient length with zeroed coordinates outside
     ``s``; ``compact=True`` drops those always-zero coordinates instead.
+    When no word meets the coordinates outside ``s``, the subcode is the
+    code itself, or with ``compact=True`` its cut to ``s``, made from the
+    code's generators (``_cut``).  Otherwise the kept words are a kernel
+    with no generators at hand, and ``code_from_words`` finds them.
     """
     positions = _as_positions(code, s)
     words, n = code._packed, code.n
@@ -489,17 +498,32 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     # word i meets the coordinates outside s where hit[i] is nonzero
     hit = _lanes_or(words, n, outside) if _by_columns(words, n) else map(any, map(gather(outside), words))
     kept = list(compress(words, map(not_, hit)))
+    cols = [i - 1 for i in sorted(positions)] if compact else range(n)
+    if len(kept) == len(words):
+        return _cut(code, cols)
     if compact:
-        cols = [i - 1 for i in sorted(positions)]
         kept, n = _project(kept, n, cols), len(cols)
     return code_from_words(code.ring, n, kept, code.table)
 
 
 def residual(code: LinearCode, s) -> LinearCode:
-    """Projection of the code onto the coordinates outside ``s``."""
+    """Projection of the code onto the coordinates outside ``s``, made from
+    the code's generators (``_cut``)."""
     positions = _as_positions(code, s)
-    cols = [i - 1 for i in range(1, code.n + 1) if i not in positions]
-    return code_from_words(code.ring, len(cols), _project(code._packed, code.n, cols), code.table)
+    return _cut(code, [i - 1 for i in range(1, code.n + 1) if i not in positions])
+
+
+def _cut(code: LinearCode, cols: Sequence[int]) -> LinearCode:
+    """The code cut to the coordinates ``cols`` (0-based, in order).
+
+    The cut of the span of the generators is the span of their cuts, so
+    the cut words are a module with those generators, with no search and
+    no closure check; they are sorted as ``code_from_words`` sorts them.
+    """
+    # all n coordinates, in order, are the words themselves
+    words = code._packed if len(cols) == code.n else _project(code._packed, code.n, cols)
+    gens = tuple(map(gather(cols), code.generators))
+    return LinearCode(code.ring, len(cols), gens, sorted(words), code.table)
 
 
 def coset_average(code: LinearCode, x: Sequence[int]) -> Fraction:

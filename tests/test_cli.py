@@ -556,6 +556,15 @@ def test_bad_gamma_exits_1(capsys):
     assert "--gamma '1_0' is not a rational p/q" in err
 
 
+@pytest.mark.parametrize("literal", ["1e²", "²", "1e1²"])
+def test_gamma_with_a_superscript_digit_is_not_a_rational(capsys, literal):
+    # "²".isdigit() is true, but int() and Fraction() refuse it: the literal
+    # is named, never int()'s own message
+    code, out, err = run(capsys, "weight", "--ring", "Z2", "--gamma", literal)
+    assert (code, out) == (1, "")
+    assert f"--gamma {literal!r} is not a rational p/q" in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

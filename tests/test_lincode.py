@@ -748,6 +748,76 @@ def test_derived_codes_match_their_per_word_definitions(drawn, data):
         assert set(derived.generators) <= derived.words
 
 
+def check_cut_against_code_from_words(code, s):
+    """``residual(C, s)``, and ``shorten(C, s)`` in both forms when no word
+    meets the coordinates outside ``s``, made from C's generators, against
+    ``code_from_words`` on the same words: the same words in the same order,
+    support and per-word facts, and generators that span exactly the words."""
+    r, t = code.ring, code.table
+    derived = [fc.residual(code, s)]
+    if {i for w in code.word_order for i in word_support(w)} <= s:
+        derived += [fc.shorten(code, s), fc.shorten(code, s, compact=True)]
+    for cut in derived:
+        reference = fc.code_from_words(r, cut.n, cut.word_order, t)
+        assert cut.word_order == reference.word_order == tuple(sorted(cut.word_order))
+        assert cut.support == reference.support
+        assert cut.hamming_weights == reference.hamming_weights
+        assert cut.min_hom_norm == reference.min_hom_norm
+        assert cut.cyclic_sizes == reference.cyclic_sizes
+        assert set(tuple_sweep(r, cut.generators, cut.n)) == cut.words
+    return derived
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(ring_specs().map(lambda drawn: drawn[0]) | st.sampled_from(BOUNDARY_SPECS), st.data())
+def test_cut_codes_match_code_from_words(spec, data):
+    # S as a random position set, the support of the code plus random
+    # positions (nothing is dropped by shortening), or a codeword
+    r = ring(spec)
+    rows = data.draw(generator_rows(r, max_rows=2 if r.size <= 32 else 1))
+    code = fc.build_code(r, rows, table(spec))
+    some = st.sets(st.integers(1, code.n), max_size=code.n) if code.n else st.just(set())
+    s = data.draw(some | some.map(code.support.union) | st.sampled_from(code.word_order).map(word_support))
+    check_cut_against_code_from_words(code, s)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    # tuple words above 256 elements, and packed words read by columns
+    ("GF(257)", [(1, 5, 0, 256)]),
+    ("Z512", [(2, 0, 256, 6, 8)]),
+    ("Z4", [(1, 2, 3, 0), (0, 2, 2, 0)]),
+    ("GF(16)", [(1, 2, 0, 4, 5), (0, 0, 0, 7, 9)]),
+])
+def test_cut_codes_match_code_from_words_on_fixed_codes(spec, rows):
+    code = fc.build_code(ring(spec), rows, table(spec))
+    n = code.n
+    for s in [set(), {1}, set(code.support), set(range(1, n + 1)), {2, n}]:
+        derived = check_cut_against_code_from_words(code, s)
+        assert len(derived) == (3 if code.support <= s else 1)
+
+
+def test_cuts_make_no_search_and_no_span(monkeypatch):
+    # residuals, chain stages and shortenings that drop no word are made
+    # from the parent's generators; a shortening that drops words still
+    # goes through code_from_words, which spans its generators
+    code = fc.octacode()
+    c = (0, 0, 0, 2, 0, 2, 2, 2)
+    calls = Counter()
+    for name in ["code_from_words", "_extend_level"]:
+        def counted(*args, name=name, original=getattr(fc.lincode, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(fc.lincode, name, counted)
+    everything = set(range(1, 9))
+    cuts = [fc.residual(code, c), fc.residual(code, set()), fc.shorten(code, everything),
+            fc.shorten(code, everything, compact=True)]
+    chain = fc.residual_chain(code)
+    assert chain.r > 0 and [cut.size for cut in cuts] == [128, 256, 256, 256]
+    assert calls == Counter()
+    assert fc.shorten(code, c).size == 2
+    assert calls["code_from_words"] == 1 and calls["_extend_level"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # Coset averages
 # ---------------------------------------------------------------------------
