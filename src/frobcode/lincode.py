@@ -313,7 +313,7 @@ class LinearCode:
                          for w in map(bytes.translate, self._packed, repeat(to_class)))
             else:
                 bits = self.ring.unit_orbits[0]
-                masks = (sum({bits[x] for x in set(w)}) for w in self._packed)
+                masks = (sum(set(map(bits.__getitem__, w))) for w in self._packed)
             # a hit reads the memo; |Rc| >= 1, so only a miss spans
             self._cyclic_sizes = [sizes.get(mask) or self._mask_cyclic_size(mask) for mask in masks]
         return self._cyclic_sizes
@@ -550,7 +550,7 @@ class CyclicSubmodule:
 def cyclic_span(ring: Ring, word: Sequence[int]) -> frozenset[Word]:
     """The set of left scalar multiples of a word."""
     word = tuple(word)
-    return frozenset(scale_word(ring, r, word) for r in range(ring.size))
+    return frozenset(tuple([row[c] for c in word]) for row in ring.mul_table)
 
 
 def cyclic_submodule(code: LinearCode, c: Sequence[int]) -> CyclicSubmodule:
@@ -576,7 +576,8 @@ def min_hamming_word_structure(code: LinearCode, c: Sequence[int]) -> tuple[int,
     # the zero word has no nonzero entry, and alpha = 0
     alpha = reps[bits[next((x for x in c if x), 0)].bit_length() - 1]
     # {alpha * u: the smallest such unit u}
-    smallest = {ring.mul_table[alpha][u]: u for u in sorted(ring.units, reverse=True)}
+    row = ring.mul_table[alpha]
+    smallest = {row[u]: u for u in sorted(ring.units, reverse=True)}
     units_at = {i: smallest.get(x) for i, x in enumerate(c, 1) if x}
     if None in units_at.values() or len(principal_ideal(ring, alpha).members) != cyclic_size:
         raise DecompositionError("no scaled-unit decomposition; word is not minimum-Hamming")

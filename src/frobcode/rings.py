@@ -12,18 +12,21 @@ generic arithmetic per pair of elements: Z_m rows are slices of a
 repeated range, componentwise operations are Kronecker combinations of
 smaller tables, GF(p^k) multiplies through discrete-log tables of a
 primitive element, and M_n(S) through the outer products of columns with
-rows.  Every row is made by C-level slices, gathers (``gather``) and list
-concatenation, with no Python arithmetic per entry, so the int objects of
-a table are shared from one range rather than allocated once per entry.
-The identity of a product or matrix ring is moved onto index 1 while its
-rows are made.  The units and the principal left ideals come from the
-same structure: Z_m by gcd, a field trivially, F_q[u]/(u^2) by whether
-the constant term is 0, and a product as the pairs of its factors'
-units and ideals, (R x S)(x, y) = Rx x Sy.  Only M_n(S) reads its units
-off the rows of the multiplication table and walks its ideals on first
-use.  Negation is not tabulated: the radical's quasi-regularity test,
-stated with 1 - y, reads 1 + y instead, since each left ideal is closed
-under negation.
+rows.  Every row is made by C-level slices, gathers (``gather``) and
+list concatenation, with no Python arithmetic per entry, so the int
+objects of a table are shared from one range rather than allocated once
+per entry.  The identity of a product or matrix ring is moved onto index
+1 while its rows are made.  The addition table is made with the ring;
+the multiplication table is a fact computed on first read, from a
+builder the constructor hands over, so a ring whose products nothing
+reads (``ring info``, the weight oracle) never makes it.  The units and
+the principal left ideals come from the same structure: Z_m by gcd, a
+field trivially, F_q[u]/(u^2) by whether the constant term is 0, and a
+product as the pairs of its factors' units and ideals, (R x S)(x, y) =
+Rx x Sy.  Only M_n(S) makes its multiplication table as it builds, reads
+its units off the rows and walks its ideals on first use.  Negation is
+not tabulated: the radical's quasi-regularity test, stated with 1 - y,
+reads 1 + y instead, since each left ideal is closed under negation.
 
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
@@ -61,6 +64,10 @@ class NotLocalError(ValueError):
 
 
 DEFAULT_CAP = 512
+
+# the key of Ring._facts that holds the multiplication table, or until its
+# first read the builder that makes its rows
+_MUL = "mul"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,8 @@ class Ring:
 
     ``add_table``/``mul_table`` are size x size lookup tables over element
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
-    character at x, taken modulo ``add_exponent``.  ``principal_left_ideals``
+    character at x, taken modulo ``add_exponent``.  ``mul_table`` (built on
+    first read from the constructor's builder), ``principal_left_ideals``
     (given by the constructor, except for a matrix ring), ``radical`` (read
     off it) and ``unit_orbits`` (the right unit orbits) are kept on the
     ring in ``_facts``, the last two computed on first use; ``lincode``
@@ -402,7 +410,6 @@ class Ring:
     name: str
     size: int
     add_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
     units: frozenset[int]
     add_exponent: int
     char_exp: tuple[int, ...]
@@ -419,6 +426,16 @@ class Ring:
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
+
+    @property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """The multiplication table, built by the constructor's builder on
+        first read; the builder is dropped then, and with it the factor
+        rings a product's builder holds."""
+        table = self._facts[_MUL]
+        if callable(table):
+            table = self._facts[_MUL] = tuple(table())
+        return table
 
     @property
     def principal_left_ideals(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -504,14 +521,16 @@ class Ideal:
 # -- constructor kernels ----------------------------------------------------
 #
 # Each kernel returns (names, add, mul, add_exponent, char_exp, units,
-# ideals) with the multiplicative identity on index 1 and every row of add and
-# mul a tuple, made by slices, ``gather`` and list concatenation only.  A
+# ideals) with the multiplicative identity on index 1.  ``mul`` is a builder:
+# called with no argument, it returns the rows of the multiplication table,
+# which ``Ring.mul_table`` makes on first read.  Every row of add and mul is
+# a tuple, made by slices, ``gather`` and list concatenation only.  A
 # product or matrix ring, whose identity has another raw index ``one``, swaps
 # the labels 1 and ``one`` in the ranges it gathers from, in its columns and in
 # its rows as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
 # come from the constructor's structure; a product reads its pairs through the
-# same swap.  M_n(S) alone scans its rows for the units and gives None for the
-# ideals, which the ring then walks on first use.
+# same swap.  M_n(S) alone makes its rows at once, scans them for the units,
+# and gives None for the ideals, which the ring then walks on first use.
 
 
 def gather(indices: Sequence[int]):
@@ -583,10 +602,14 @@ def _kron_vec(left, right) -> tuple[int, ...]:
 
 def _build_zm(m: int):
     residues = tuple(range(m))
-    wrapped = residues * m  # wrapped[i] = i mod m
-    add = [wrapped[a:a + m] for a in range(m)]
-    # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
-    mul = [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
+    doubled = residues * 2  # doubled[i] = i mod m, for i < 2m
+    add = [doubled[a:a + m] for a in range(m)]
+
+    def mul():
+        wrapped = residues * m  # wrapped[i] = i mod m
+        # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
+        return [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
+
     # Rx is the multiples of d = gcd(x, m), and x generates it exactly when
     # gcd(x, m) = d; d is the smallest generator, and d = 1 are the units
     by_gcd: dict[int, list[int]] = {}
@@ -651,7 +674,7 @@ def _build_gf(p: int, k: int):
         log[x] = i
     logs = log[1:]
     pick, exp = gather(logs), exp * 2
-    mul = [(0,) * size] + [(0,) + pick(exp[la:la + size - 1]) for la in logs]
+    mul = lambda: [(0,) * size] + [(0,) + pick(exp[la:la + size - 1]) for la in logs]
 
     # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1)),
     # through the Frobenius map x -> x^p
@@ -719,14 +742,14 @@ def _build_mat(n: int, inner: Ring):
     # inverses are two-sided in a finite ring, and the ideals are walked on
     # first use by Ring.principal_left_ideals
     units = [u for u, row in enumerate(mul) if 1 in row]
-    return _swap(names, one), add, mul, inner.add_exponent, _swap(char, one), units, None
+    return _swap(names, one), add, lambda: mul, inner.add_exponent, _swap(char, one), units, None
 
 
 def _build_prod(left: Ring, right: Ring):
     one = right.size + 1
     names = [f"{a}|{b}" for a in left.element_names for b in right.element_names]
     add = _kron(left.add_table, right.add_table, one)
-    mul = _kron(left.mul_table, right.mul_table, one)
+    mul = lambda: _kron(left.mul_table, right.mul_table, one)
 
     n_left, n_right = left.add_exponent, right.add_exponent
     n = lcm(n_left, n_right)
@@ -759,20 +782,24 @@ def _build_prod(left: Ring, right: Ring):
 def _build_chain(q: int, fld: Ring):
     # elements a + b*u with u^2 = 0, a and b in the q-element field, on
     # indices a + q*b
-    fnames, fadd, fmul = fld.element_names, fld.add_table, fld.mul_table
+    fnames, fadd = fld.element_names, fld.add_table
     names = [f"{fnames[a]}+{fnames[b]}u" for b in range(q) for a in range(q)]
     add = _kron(fadd, fadd)
     char = [fld.char_exp[fadd[a][b]] for b in range(q) for a in range(q)]
-    # (a + bu)(c + du) = (a + bu)c + (ad)u: over each d, the products
-    # (a + bu)c gathered out of the add row of (ad)u
-    mul = []
-    for b in range(q):
-        for a in range(q):
-            pick = gather([lo + q * hi for lo, hi in zip(fmul[a], fmul[b])])
-            row = []
-            for ad in fmul[a]:
-                row += pick(add[q * ad])
-            mul.append(tuple(row))
+
+    def mul():
+        # (a + bu)(c + du) = (a + bu)c + (ad)u: over each d, the products
+        # (a + bu)c gathered out of the add row of (ad)u
+        fmul, rows = fld.mul_table, []
+        for b in range(q):
+            for a in range(q):
+                pick = gather([lo + q * hi for lo, hi in zip(fmul[a], fmul[b])])
+                row = []
+                for ad in fmul[a]:
+                    row += pick(add[q * ad])
+                rows.append(tuple(row))
+        return rows
+
     # a + bu is a unit iff a != 0, and the only other nonzero principal left
     # ideal is Ru = {bu}, generated by its nonzero members
     size = q * q
@@ -802,13 +829,13 @@ def _build(spec: RingSpec) -> Ring:
         name=canonical_ring_name(spec),
         size=len(names),
         add_table=tuple(add),
-        mul_table=tuple(mul),
         units=frozenset(units),
         add_exponent=n_exp,
         char_exp=tuple(char),
         element_names=tuple(names),
         _name_index=dict(zip(names, range(len(names)))),
     )
+    ring._facts[_MUL] = mul
     if ideals is not None:
         ring._facts["ideals"] = ideals
     return ring
@@ -842,9 +869,9 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
 def principal_ideal(ring: Ring, x: int, side: str = "left") -> Ideal:
     """The one-sided principal ideal Rx (left) or xR (right)."""
     if side == "left":
-        members = frozenset(ring.mul_table[r][x] for r in range(ring.size))
+        members = frozenset([row[x] for row in ring.mul_table])
     elif side == "right":
-        members = frozenset(ring.mul_table[x][r] for r in range(ring.size))
+        members = frozenset(ring.mul_table[x])
     else:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     return Ideal(side=side, generator=x, members=members)

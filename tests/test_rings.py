@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import frobcode as fc
+from frobcode import cli
 from helpers import (CAP_SPECS, SUITE_SPECS, reference_principal_left_ideals,
                      reference_solve_weight_axioms, reference_tables, reference_units, ring,
                      ring_specs)
@@ -424,6 +425,47 @@ def test_tables_match_reference_kernels(drawn):
 @pytest.mark.parametrize("spec", CAP_SPECS)
 def test_cap_tables_match_reference_kernels(spec):
     _assert_reference_tables(ring(spec))
+
+
+# the Ring._facts key of the multiplication table, which holds its builder
+# until the first read
+MUL = fc.rings._MUL
+
+
+def _ring_of_ring_info(spec, monkeypatch, capsys):
+    # the ring that ``frobcode ring info`` builds, caught on its way out
+    built = []
+
+    def build_ring(*args, **kwargs):
+        built.append(fc.build_ring(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_ring", build_ring)
+    assert cli.main(["ring", "info", "--ring", spec]) == 0
+    assert f"ring: {built[0].name}" in capsys.readouterr().out
+    (r,) = built
+    return r
+
+
+# one ring per path of the builders: Z_m, GF(p) through Z_p, GF(p^k),
+# F_q[u]/(u^2), a product, and a product with a matrix factor
+@pytest.mark.parametrize("spec", ["Z400", "GF(7)", "GF(512)", "CHAIN(19)", "Z8xZ64", "M2(Z2)xZ2"])
+def test_multiplication_table_is_built_on_first_read(spec, monkeypatch, capsys):
+    built = [fc.build_ring(fc.parse_ring_spec(spec)), _ring_of_ring_info(spec, monkeypatch, capsys)]
+    assert all(callable(r._facts[MUL]) for r in built)
+    expected = reference_tables(built[0].spec)["mul_table"]
+    for r in built:
+        table = r.mul_table
+        assert table == expected
+        assert r.mul_table is table
+        assert not any(map(callable, r._facts.values()))
+
+
+def test_matrix_ring_multiplication_table_is_built_with_the_ring():
+    # M_n(S) reads its units off the rows of its table as it builds
+    r = fc.build_ring(fc.parse_ring_spec("M2(GF(2))"))
+    assert r._facts[MUL] == reference_tables(r.spec)["mul_table"]
+    assert r.mul_table is r._facts[MUL]
 
 
 def _assert_reference_facts(r):
