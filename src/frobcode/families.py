@@ -32,22 +32,22 @@ class NotChainRingError(ValueError):
     """Operation requires a chain ring of length 2 (radical^2 = 0 != radical)."""
 
 
-def simplex(
-    ring: Ring,
-    m: int,
-    table: HomWeightTable | None = None,
-    max_length: int = 4096,
-) -> LinearCode:
+# the most columns a simplex code may have
+_SIMPLEX_CAP = 4096
+
+
+def simplex(ring: Ring, m: int, table: HomWeightTable | None = None) -> LinearCode:
     """Simplex code: one column per nonzero element of R^m.
 
     Columns appear in lexicographic element-index order.  Every nonzero
-    word has normalised homogeneous weight |R|^m exactly.
+    word has normalised homogeneous weight |R|^m exactly.  At most
+    ``_SIMPLEX_CAP`` columns are made.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     # |R|^m is checked against the cap without being built: m may be huge
-    if _capped_power(ring.size, m, max_length + 1) > max_length + 1:
-        raise ValueError(f"simplex length |R|^m - 1 exceeds the cap of {max_length} columns")
+    if _capped_power(ring.size, m, _SIMPLEX_CAP + 1) > _SIMPLEX_CAP + 1:
+        raise ValueError(f"simplex length |R|^m - 1 exceeds the cap of {_SIMPLEX_CAP} columns")
     columns = [col for col in product(range(ring.size), repeat=m) if any(col)]
     rows = [tuple(col[i] for col in columns) for i in range(m)]
     return build_code(ring, rows, table)

@@ -139,12 +139,12 @@ def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
     its smallest member: sum_u chi(xvu) = sum_u chi(xu) for a unit v.
     """
     mul, units, chi = ring.mul_table, ring.units, ring.char_exp
-    bits, reps = ring.unit_orbits
+    orbit, reps = ring.unit_orbits
     values = []
     for x in reps:
         s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])
         values.append(1 - cyclotomic_reduce(s) / len(units))
-    norm = tuple(values[b.bit_length() - 1] for b in bits)
+    norm = tuple(map(values.__getitem__, orbit))
     table = HomWeightTable(ring=ring, gamma=gamma, norm_weight=norm)
     if not verify_axioms(table):
         raise CharacterError(f"character formula on {ring.name} violates the weight axioms")

@@ -100,7 +100,7 @@ PACK_LIMIT = 16
 
 
 def _word_format(ring: Ring) -> tuple:
-    """The ring's word format ``(pack, add, mul, to_class, class_bits, sizes)``,
+    """The ring's word format ``(pack, add, mul, to_class, bits, sizes)``,
     built on first use and kept on the ring; the one place that decides it.
 
     ``pack`` is the word type of enumeration: ``bytes`` up to 256 elements,
@@ -109,23 +109,23 @@ def _word_format(ring: Ring) -> tuple:
     = rc.  Up to ``PACK_LIMIT`` elements, whose indices fit in 4 bits, ``add``
     is one pair table: ``add[a << 4 | b]`` is a + b; above, ``add[s][x]`` is
     x + s, one table per addend.  ``to_class`` translates an element into the
-    index k of its right unit orbit (``Ring.unit_orbits``), and
-    ``class_bits`` holds the pairs (k, 1 << k).  Entries outside the ring are
-    0.  The tuple format has none of these four.  ``sizes`` is the memo {set of
-    orbits: |Rc|}, which every code over the ring (shortened, residual and
-    chain codes too) shares and ``LinearCode`` fills.
+    number k of its right unit orbit (``Ring.unit_orbits``), its class.
+    Entries outside the ring are 0.  The tuple format has none of these
+    three.  In either format ``bits[x]`` is the bit 1 << k of the class of
+    x, so a set of classes is the sum of their bits.  ``sizes`` is the memo
+    {set of classes: |Rc|}, which every code over the ring (shortened,
+    residual and chain codes too) shares and ``LinearCode`` fills.
     """
     if "words" not in ring._facts:
-        entry = (tuple, None, None, None, None, {})
+        orbit = ring.unit_orbits[0]
+        entry = (tuple, None, None, None, tuple(1 << k for k in orbit), {})
         if ring.size <= 256:
-            bits, reps = ring.unit_orbits
             pad = bytes(256 - ring.size)
             add = tuple(bytes(row) + pad for row in ring.add_table)
             if ring.size <= PACK_LIMIT:
                 add = b"".join(row[:16] for row in add).ljust(256, b"\0")
             mul = tuple(bytes(row) + pad for row in ring.mul_table)
-            to_class = bytes(b.bit_length() - 1 for b in bits) + pad
-            entry = (bytes, add, mul, to_class, [(k, 1 << k) for k in range(len(reps))], {})
+            entry = (bytes, add, mul, bytes(orbit) + pad, *entry[4:])
         ring._facts["words"] = entry
     return ring._facts["words"]
 
@@ -222,7 +222,9 @@ class LinearCode:
     element, and the classes through one of 1 << class (up to 8 classes,
     one bit each in a byte lane).  Otherwise, and for tuple words, each
     word is read on its own: a packed word is translated into indices of
-    weight values, each counted, or into class indices, each tested for.
+    weight values, each counted, or, up to 8 classes, into class indices,
+    each tested for.  Above 8 classes, and for tuple words, a word's set
+    of classes is the sum of the distinct bits of its entries.
     ``hamming_weights`` and ``cyclic_sizes`` are aligned with
     ``word_order``.  The ``generators`` must generate the words: the
     support is read off them, as coordinate i vanishes on the code exactly
@@ -298,22 +300,23 @@ class LinearCode:
         """
         if c not in self:
             raise ValueError("word is not in the code")
-        return self._mask_cyclic_size(sum({self.ring.unit_orbits[0][x] for x in set(c)}))
+        return self._mask_cyclic_size(sum({self._format[4][x] for x in set(c)}))
 
     @property
     def cyclic_sizes(self) -> list[int]:
         """|Rc| for each word c of ``word_order``, as ``cyclic_size`` reads it."""
         if self._cyclic_sizes is None:
-            pack, _, _, to_class, class_bits, sizes = self._format
-            if _by_columns(self._packed, self.n) and len(class_bits) <= 8:
+            pack, _, _, to_class, bits, sizes = self._format
+            classes = range(len(self.ring.unit_orbits[1]))
+            if pack is tuple or len(classes) > 8:
+                # the bits of the distinct entries, not one test per class
+                masks = (sum(set(map(bits.__getitem__, w))) for w in self._packed)
+            elif _by_columns(self._packed, self.n):
                 # the classes met by word i are the bits of its byte
                 masks = _lanes_or(self._packed, self.n, range(self.n), to_class.translate(_BITS))
-            elif pack is bytes:
-                masks = (sum([bit for k, bit in class_bits if k in w])
-                         for w in map(bytes.translate, self._packed, repeat(to_class)))
             else:
-                bits = self.ring.unit_orbits[0]
-                masks = (sum(set(map(bits.__getitem__, w))) for w in self._packed)
+                masks = (sum([1 << k for k in classes if k in w])
+                         for w in map(bytes.translate, self._packed, repeat(to_class)))
             # a hit reads the memo; |Rc| >= 1, so only a miss spans
             self._cyclic_sizes = [sizes.get(mask) or self._mask_cyclic_size(mask) for mask in masks]
         return self._cyclic_sizes
@@ -343,21 +346,21 @@ class LinearCode:
 _MESSAGE_CAP = 1 << 24
 
 
-def _check_sweep(ring: Ring, k: int, n: int, message_cap: int = _MESSAGE_CAP) -> None:
+def _check_sweep(ring: Ring, k: int, n: int) -> None:
     """Refuse a sweep of R^k into length-n words above |R|^k * n coordinates."""
-    if ring.size ** k * max(n, 1) > message_cap:
+    if ring.size ** k * max(n, 1) > _MESSAGE_CAP:
         raise SweepCapError(f"{ring.size}^{k} messages x {n} coordinates exceed the enumeration"
-                            f" cap {message_cap}")
+                            f" cap {_MESSAGE_CAP}")
 
 
-def build_code(ring: Ring, rows: Sequence[Sequence[int]], table: HomWeightTable | None = None,
-               message_cap: int = _MESSAGE_CAP) -> LinearCode:
+def build_code(ring: Ring, rows: Sequence[Sequence[int]],
+               table: HomWeightTable | None = None) -> LinearCode:
     """Enumerate the code generated by the given rows.
 
     The message space R^k is swept in lexicographic index order; words are
     deduplicated on first appearance, which fixes ``word_order``.  The
     sweep covers |R|^k messages of n coordinates each, so ``SweepCapError``
-    is raised when |R|^k * n exceeds ``message_cap``.  At least one row is
+    is raised when |R|^k * n exceeds ``_MESSAGE_CAP``.  At least one row is
     needed: it fixes the length n.
     """
     rows = tuple(tuple(r) for r in rows)
@@ -365,7 +368,7 @@ def build_code(ring: Ring, rows: Sequence[Sequence[int]], table: HomWeightTable 
         raise ValueError("no generator rows")
     n = len(rows[0])
     _check_rows(ring, rows, n)
-    _check_sweep(ring, len(rows), n, message_cap)
+    _check_sweep(ring, len(rows), n)
     if table is None:
         table = hom_weight_table(ring)
     # Level i holds the distinct partial sums of the first i rows, in the
@@ -572,9 +575,9 @@ def min_hamming_word_structure(code: LinearCode, c: Sequence[int]) -> tuple[int,
     """
     ring = code.ring
     cyclic_size = code.cyclic_size(c)
-    bits, reps = ring.unit_orbits
+    orbit, reps = ring.unit_orbits
     # the zero word has no nonzero entry, and alpha = 0
-    alpha = reps[bits[next((x for x in c if x), 0)].bit_length() - 1]
+    alpha = reps[orbit[next((x for x in c if x), 0)]]
     # {alpha * u: the smallest such unit u}
     row = ring.mul_table[alpha]
     smallest = {row[u]: u for u in sorted(ring.units, reverse=True)}

@@ -23,10 +23,12 @@ reads (``ring info``, the weight oracle) never makes it.  The units and
 the principal left ideals come from the same structure: Z_m by gcd, a
 field trivially, F_q[u]/(u^2) by whether the constant term is 0, and a
 product as the pairs of its factors' units and ideals, (R x S)(x, y) =
-Rx x Sy.  Only M_n(S) makes its multiplication table as it builds, reads
-its units off the rows and walks its ideals on first use.  Negation is
-not tabulated: the radical's quasi-regularity test, stated with 1 - y,
-reads 1 + y instead, since each left ideal is closed under negation.
+Rx x Sy.  Only M_n(S) makes its multiplication table as it builds and
+hands it over made; it reads its units off the rows and walks its ideals
+down the columns, one per left unit orbit.  Every ring so has its units
+and ideals when it is built.  Negation is not tabulated: the radical's
+quasi-regularity test, stated with 1 - y, reads 1 + y instead, since
+each left ideal is closed under negation.
 
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
@@ -127,15 +129,6 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-def validate_spec(spec: RingSpec) -> None:
-    _check_term(spec)
-    if isinstance(spec, Mat):
-        validate_spec(spec.inner)
-    elif isinstance(spec, Prod):
-        validate_spec(spec.left)
-        validate_spec(spec.right)
-
-
 def _check_term(spec: RingSpec) -> None:
     # one constructor's own parameters; its subterms are checked separately
     if isinstance(spec, Zm):
@@ -156,8 +149,6 @@ def _check_term(spec: RingSpec) -> None:
             raise RingSpecError(f"M{spec.n}: matrix size must be >= 1")
     elif isinstance(spec, ChainQuad):
         _prime_power(spec.q)
-    elif not isinstance(spec, Prod):
-        raise RingSpecError(f"unknown ring spec {spec!r}")
 
 
 def _capped_cardinality(spec: RingSpec, cap: int) -> int:
@@ -216,7 +207,7 @@ def canonical_ring_name(spec: RingSpec) -> str:
 # ---------------------------------------------------------------------------
 
 # The spec tree nests at most this deep, counting each product of k factors
-# as k - 1 levels and each parenthesis as one: parsing, validation and
+# as k - 1 levels and each parenthesis as one: parsing, the cap check and
 # building recurse once per level.
 _MAX_NESTING = 256
 
@@ -396,14 +387,19 @@ class Ring:
 
     ``add_table``/``mul_table`` are size x size lookup tables over element
     indices; ``char_exp[x]`` is the exponent of the distinguished generating
-    character at x, taken modulo ``add_exponent``.  ``mul_table`` (built on
-    first read from the constructor's builder), ``principal_left_ideals``
-    (given by the constructor, except for a matrix ring), ``radical`` (read
-    off it) and ``unit_orbits`` (the right unit orbits) are kept on the
-    ring in ``_facts``, the last two computed on first use; ``lincode``
-    keeps the ring's word format there too, and the ring itself knows
-    nothing of codes.  There is no negation table: -x is the column of 0
-    in row x of ``add_table``.
+    character at x, taken modulo ``add_exponent``.  The constructor gives
+    ``units`` and ``principal_left_ideals``: every nonzero principal left
+    ideal Rx, mapped to its generators, keys in index order of their
+    smallest generator and generators in index order.  The generator sets
+    partition the nonzero elements, and Rx is the disjoint union of the
+    generator sets of the principal left ideals inside it; the dict is
+    shared by every caller, so treat it as read-only.  ``mul_table`` (made
+    on first read, unless the constructor hands it over made), ``radical``
+    (read off the ideals) and ``unit_orbits`` (the right unit orbits) are
+    kept on the ring in ``_facts``, the last two computed on first use;
+    ``lincode`` keeps the ring's word format there too, and the ring itself
+    knows nothing of codes.  There is no negation table: -x is the column
+    of 0 in row x of ``add_table``.
     """
 
     spec: RingSpec
@@ -411,6 +407,7 @@ class Ring:
     size: int
     add_table: tuple[tuple[int, ...], ...]
     units: frozenset[int]
+    principal_left_ideals: dict[frozenset[int], tuple[int, ...]] = field(repr=False)
     add_exponent: int
     char_exp: tuple[int, ...]
     element_names: tuple[str, ...]
@@ -429,38 +426,14 @@ class Ring:
 
     @property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """The multiplication table, built by the constructor's builder on
-        first read; the builder is dropped then, and with it the factor
-        rings a product's builder holds."""
+        """The multiplication table, made by the constructor's builder on
+        first read unless the constructor handed it over made; the builder
+        is dropped then, and with it the factor rings a product's builder
+        holds."""
         table = self._facts[_MUL]
         if callable(table):
             table = self._facts[_MUL] = tuple(table())
         return table
-
-    @property
-    def principal_left_ideals(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Every nonzero principal left ideal Rx, mapped to its generators.
-
-        Each constructor but M_n(S) gives them from its structure when it
-        builds the ring.  A matrix ring walks them here on first use: one
-        ``principal_ideal`` per unit orbit {ux}, as R(ux) = Rx, and orbits
-        generating one ideal share its entry.  Keys come in index order of
-        their smallest generator, generators in index order.  The generator
-        sets partition the nonzero elements, and Rx is the disjoint union of
-        the generator sets of the principal left ideals inside it.  Shared
-        by every caller; treat it as read-only.
-        """
-        if "ideals" not in self._facts:
-            mul, units = self.mul_table, self.units
-            ideals: dict[frozenset[int], list[int]] = {}
-            seen: set[int] = set()
-            for x in range(1, self.size):
-                if x not in seen:
-                    orbit = {mul[u][x] for u in units}
-                    seen |= orbit
-                    ideals.setdefault(principal_ideal(self, x).members, []).extend(orbit)
-            self._facts["ideals"] = {key: tuple(sorted(gens)) for key, gens in ideals.items()}
-        return self._facts["ideals"]
 
     @property
     def radical(self) -> frozenset[int]:
@@ -480,13 +453,12 @@ class Ring:
 
     @property
     def unit_orbits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The right unit orbits xU: the orbit of each element as the bit
-        1 << k of its orbit k, and the smallest member of each orbit.
+        """The right unit orbits xU: the number of each element's orbit,
+        and the smallest member of each orbit.
 
         Orbits are numbered in index order of their smallest member, so {0}
-        is orbit 0, and a set of orbits is the sum of their bits.  The weight
-        from the character formula is constant on each orbit, and so is
-        ann_l, as ann_l(xu) = ann_l(x).
+        is orbit 0.  The weight from the character formula is constant on
+        each orbit, and so is ann_l, as ann_l(xu) = ann_l(x).
         """
         if "orbits" not in self._facts:
             mul, units = self.mul_table, self.units
@@ -495,7 +467,7 @@ class Ring:
                 if x not in orbit:
                     orbit.update((y, len(reps)) for y in {mul[x][u] for u in units})
                     reps.append(x)
-            self._facts["orbits"] = (tuple(1 << orbit[x] for x in range(self.size)), tuple(reps))
+            self._facts["orbits"] = (tuple(map(orbit.__getitem__, range(self.size))), tuple(reps))
         return self._facts["orbits"]
 
     def __repr__(self) -> str:
@@ -529,8 +501,8 @@ class Ideal:
 # the labels 1 and ``one`` in the ranges it gathers from, in its columns and in
 # its rows as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
 # come from the constructor's structure; a product reads its pairs through the
-# same swap.  M_n(S) alone makes its rows at once, scans them for the units,
-# and gives None for the ideals, which the ring then walks on first use.
+# same swap.  M_n(S) alone makes its rows at once and hands over the table
+# itself: it reads its units off the rows and walks its ideals down the columns.
 
 
 def gather(indices: Sequence[int]):
@@ -729,7 +701,7 @@ def _build_mat(n: int, inner: Ring):
             for x in above:
                 row += pick(add[x])
         mul.append(tuple(_swap(row, one)))
-    mul = _swap(mul, one)
+    mul = tuple(_swap(mul, one))
 
     char = []
     inner_add, diagonal = inner.add_table, gather([r * n + r for r in range(n)])
@@ -739,10 +711,19 @@ def _build_mat(n: int, inner: Ring):
             tr = inner_add[tr][x]
         char.append(inner.char_exp[tr])
     # the generic facts: x is a unit iff 1 is in its row, as one-sided
-    # inverses are two-sided in a finite ring, and the ideals are walked on
-    # first use by Ring.principal_left_ideals
+    # inverses are two-sided in a finite ring.  Rx is column x, and R(ux) =
+    # Rx, so one column per left unit orbit {ux}, in index order, keys every
+    # ideal; orbits generating one ideal share its entry.
     units = [u for u, row in enumerate(mul) if 1 in row]
-    return _swap(names, one), add, lambda: mul, inner.add_exponent, _swap(char, one), units, None
+    ideals: dict[frozenset[int], list[int]] = {}
+    seen: set[int] = set()
+    for x in range(1, size):
+        if x not in seen:
+            orbit = {mul[u][x] for u in units}
+            seen |= orbit
+            ideals.setdefault(frozenset(map(itemgetter(x), mul)), []).extend(orbit)
+    ideals = {key: tuple(sorted(gens)) for key, gens in ideals.items()}
+    return _swap(names, one), add, mul, inner.add_exponent, _swap(char, one), units, ideals
 
 
 def _build_prod(left: Ring, right: Ring):
@@ -809,6 +790,8 @@ def _build_chain(q: int, fld: Ring):
 
 
 def _build(spec: RingSpec) -> Ring:
+    # each term is checked as the walk reaches it, before its subterms
+    _check_term(spec)
     if isinstance(spec, Zm):
         parts = _build_zm(spec.m)
     elif isinstance(spec, GF):
@@ -817,12 +800,14 @@ def _build(spec: RingSpec) -> Ring:
         parts = _build_mat(spec.n, _build(spec.inner))
     elif isinstance(spec, Prod):
         parts = _build_prod(_build(spec.left), _build(spec.right))
-    elif isinstance(spec, ChainQuad):
-        p, f = _prime_power(spec.q)
-        parts = _build_chain(spec.q, _build(GF(p, f)))
     else:
-        raise RingSpecError(f"unknown ring spec {spec!r}")
+        # the field of F_q[u]/(u^2) is no term of the spec, and not checked
+        p, f = _prime_power(spec.q)
+        parts = _build_chain(spec.q, _ring(GF(p, f), _build_gf(p, f)))
+    return _ring(spec, parts)
 
+
+def _ring(spec: RingSpec, parts) -> Ring:
     names, add, mul, n_exp, char, units, ideals = parts
     ring = Ring(
         spec=spec,
@@ -830,14 +815,13 @@ def _build(spec: RingSpec) -> Ring:
         size=len(names),
         add_table=tuple(add),
         units=frozenset(units),
+        principal_left_ideals=ideals,
         add_exponent=n_exp,
         char_exp=tuple(char),
         element_names=tuple(names),
         _name_index=dict(zip(names, range(len(names)))),
     )
     ring._facts[_MUL] = mul
-    if ideals is not None:
-        ring._facts["ideals"] = ideals
     return ring
 
 
@@ -845,17 +829,16 @@ def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
     """Materialise the ring denoted by ``spec``.
 
     Raises ``RingSpecError``/``CardinalityCapError`` for invalid or oversized
-    specs, checking the cap first so no literal above it is factored, and
-    ``CharacterError`` if the built-in character is not additive on a
-    generating set of (R, +) or has a nonzero principal left ideal in its
-    kernel (an internal consistency failure; see
-    ``is_generating_character``).  The test reads
-    ``principal_left_ideals``, which a matrix ring walks there.
+    specs, checking the cap first so no literal above it is factored, then
+    each term as the build reaches it, in pre-order, so the first invalid
+    term raises.  Raises ``CharacterError`` if the built-in character is not
+    additive on a generating set of (R, +) or has a nonzero principal left
+    ideal in its kernel (an internal consistency failure; see
+    ``is_generating_character``).
     """
     if _capped_cardinality(spec, cap) > cap:
         # not named: the name of a huge field spells out its size
         raise CardinalityCapError(f"the ring has more than {cap} elements, above the size cap")
-    validate_spec(spec)
     ring = _build(spec)
     if not is_generating_character(ring, ring.char_exp):
         raise CharacterError(f"built-in character of {ring.name} is not generating")
@@ -891,8 +874,9 @@ def is_generating_character(ring: Ring, exps: Sequence[int]) -> bool:
     additive.
 
     Generating means that the kernel contains no nonzero left ideal, so
-    that every nonzero principal left ideal Rx (from
-    ``ring.principal_left_ideals``) leaves the kernel.  For a finite ring a
+    that every nonzero principal left ideal Rx leaves the kernel.  The
+    ideals are ``ring.principal_left_ideals``, which every constructor
+    gives as it builds, so the test walks none.  For a finite ring a
     character is left generating exactly when it is right generating
     (J. A. Wood, "Duality for modules over finite rings and applications to
     coding theory", Amer. J. Math. 121, 1999), so the right ideals xR need

@@ -20,6 +20,10 @@ SUITE_SPECS = (
     + ["M2(GF(2))", "Z2xZ3", "CHAIN(2)", "CHAIN(3)"]
 )
 
+# criterion 7b's non-commutative or non-local rings, and chain rings of
+# length 3 and 2
+BEYOND_LOCAL_SPECS = ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9", "Z2xZ4", "M2(Z2)xZ2")
+
 # rings at the size cap, one per constructor shape
 CAP_SPECS = ["M3(GF(2))", "Z8xZ64", "Z512", "GF(512)",
              "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z2)xZ2"]
@@ -287,6 +291,27 @@ def reference_solve_weight_axioms(r) -> tuple:
         for x in gens:
             solution[x] = value
     return tuple(solution)
+
+
+# ---------------------------------------------------------------------------
+# |Rc| as the size of a right ideal.  Rc is R / ann_l(c) as a left module,
+# and rc = 0 exactly when r kills the right ideal J = c_1R + ... + c_nR, so
+# ann_l(c) = ann_l(J).  Over a Frobenius ring |J| |ann_l(J)| = |R| for every
+# right ideal J (J. A. Wood, Amer. J. Math. 121, 1999; T. Honold, "Characterization
+# of finite Frobenius rings", Arch. Math. 76, 2001), so |Rc| = |J|: a count
+# of the ideal that the entries generate, with no multiple of the word taken.
+# ---------------------------------------------------------------------------
+
+def generated_ideal_size(r, entries, side: str = "right") -> int:
+    """|c_1R + ... + c_nR| for the ``entries`` c_i, or with ``side`` "left"
+    |Rc_1 + ... + Rc_n|, which is not |Rc| over a non-commutative ring."""
+    add, mul = r.add_table, r.mul_table
+    ideal = {0}
+    for x in set(entries):
+        if x not in ideal:  # an ideal of that side holding x holds xR (Rx)
+            principal = set(mul[x]) if side == "right" else {row[x] for row in mul}
+            ideal = {add[a][b] for a in ideal for b in principal}
+    return len(ideal)
 
 
 # ---------------------------------------------------------------------------

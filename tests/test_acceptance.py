@@ -18,7 +18,7 @@ import pytest
 import frobcode as fc
 from frobcode.cli import main
 from frobcode.lincode import scale_word, word_add
-from helpers import SUITE_SPECS, ring, table
+from helpers import BEYOND_LOCAL_SPECS, SUITE_SPECS, ring, table
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -386,11 +386,8 @@ def test_criterion_7_soundness_sweep():
 
 
 # ---------------------------------------------------------------------------
-# 7b. Theorem soundness beyond commutative local rings
+# 7b. Theorem soundness beyond commutative local rings (BEYOND_LOCAL_SPECS)
 # ---------------------------------------------------------------------------
-
-BEYOND_LOCAL_SPECS = ("M2(GF(2))", "Z6", "Z2xZ3", "Z8", "Z9", "Z2xZ4", "M2(Z2)xZ2")
-
 
 def _random_row_codes(r, t, count, rng):
     """Codes of 1 or 2 random rows, length 1-4 (1-3 when |R| > 9)."""

@@ -54,11 +54,12 @@ def test_simplex_constant_weight_and_hamming_laws(spec, m):
         assert fc.ell(w) == target - target // len(fc.cyclic_span(r, w))
 
 
-def test_simplex_validation():
+def test_simplex_validation(monkeypatch):
     with pytest.raises(ValueError):
         fc.simplex(ring("Z4"), 0)
+    monkeypatch.setattr(fc.families, "_SIMPLEX_CAP", 100)
     with pytest.raises(ValueError):
-        fc.simplex(ring("Z4"), 4, max_length=100)
+        fc.simplex(ring("Z4"), 4)
 
 
 @pytest.mark.parametrize("m", [10**14, 10**7, 4000, 7])
@@ -70,11 +71,13 @@ def test_simplex_length_cap_fails_fast(m):
     assert time.perf_counter() - start < 1
 
 
-def test_simplex_length_cap_is_inclusive():
+def test_simplex_length_cap_is_inclusive(monkeypatch):
     # 4^2 - 1 = 15 columns
-    assert fc.simplex(ring("Z4"), 2, max_length=15).n == 15
+    monkeypatch.setattr(fc.families, "_SIMPLEX_CAP", 15)
+    assert fc.simplex(ring("Z4"), 2).n == 15
+    monkeypatch.setattr(fc.families, "_SIMPLEX_CAP", 14)
     with pytest.raises(ValueError, match="cap of 14 columns"):
-        fc.simplex(ring("Z4"), 2, max_length=14)
+        fc.simplex(ring("Z4"), 2)
 
 
 def test_simplex_column_order_is_lexicographic():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
 from frobcode.lincode import _word_format, scale_word, word_add
-from helpers import (krawtchouk, macwilliams_transform, right_dual_enumerator, ring, ring_specs,
-                     table, unit_orbit_index)
+from helpers import (BEYOND_LOCAL_SPECS, generated_ideal_size, krawtchouk, macwilliams_transform,
+                     right_dual_enumerator, ring, ring_specs, table, unit_orbit_index)
 
 F = Fraction
 
@@ -165,14 +165,17 @@ def test_weight_table_of_another_build_of_the_same_ring_is_accepted():
     assert fc.code_from_words(again, 3, code.words, table("Z4")).min_hom_norm == 4
 
 
-def test_message_cap():
+def test_message_cap(monkeypatch):
+    monkeypatch.setattr(fc.lincode, "_MESSAGE_CAP", 1 << 10)
     with pytest.raises(fc.SweepCapError):
-        fc.build_code(ring("Z4"), [(1,)] * 20, table("Z4"), message_cap=1 << 10)
+        fc.build_code(ring("Z4"), [(1,)] * 20, table("Z4"))
     # the cap bounds coordinates built, |R|^k * n: 16 messages x 5 = 80 > 64
+    monkeypatch.setattr(fc.lincode, "_MESSAGE_CAP", 64)
     with pytest.raises(fc.SweepCapError, match="coordinates"):
-        fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3), (0, 1, 1, 1, 2)], table("Z4"),
-                      message_cap=64)
-    assert fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3)], table("Z4"), message_cap=20).size == 4
+        fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3), (0, 1, 1, 1, 2)], table("Z4"))
+    monkeypatch.setattr(fc.lincode, "_MESSAGE_CAP", 20)
+    assert fc.build_code(ring("Z4"), [(1, 0, 1, 2, 3)], table("Z4")).size == 4
+    monkeypatch.undo()
     # 256^3 messages x 2 = 33.5M coordinates: rejected before any sweep or
     # weight table, at the default cap
     gf256 = ring("GF(256)")
@@ -277,8 +280,11 @@ def test_byte_tables_are_the_operation_tables(spec):
 def test_byte_tables_need_at_most_256_elements():
     pack, add, mul, to_class, _, _ = _word_format(ring("GF(256)"))
     assert pack is bytes and len(add) == len(mul) == 256 and len(to_class) == 256
-    # above 256 elements words are tuples, with no translate tables
-    assert _word_format(ring("GF(257)"))[:5] == (tuple, None, None, None, None)
+    # above 256 elements words are tuples, with no translate tables; the class
+    # bits are in both formats: GF(257) has the classes {0} and the units
+    pack, add, mul, to_class, bits, _ = _word_format(ring("GF(257)"))
+    assert (pack, add, mul, to_class) == (tuple, None, None, None)
+    assert bits == (1,) + (2,) * 256
 
 
 def check_against_the_tuple_reference(code, rows):
@@ -431,8 +437,8 @@ def test_weight_sums_average_to_the_effective_length(spec, m):
     # |C| ell(C), with each entry weighed as the least member of its class
     r, t = ring(spec), table(spec)
     code = fc.simplex(r, m, t)
-    bits, reps = r.unit_orbits
-    by_class = [t.numerators[reps[b.bit_length() - 1]] for b in bits]
+    classes, reps = r.unit_orbits
+    by_class = [t.numerators[reps[k]] for k in classes]
     read = sum(by_class[c] for w in code.word_order for c in w)
     per_coordinate = sum(t.numerators[c] for w in code.word_order for c in w)
     assert read == per_coordinate == code.size * code.ell_C * t.denominator
@@ -445,13 +451,12 @@ def test_classes_are_unit_orbits_cut_by_weight(spec):
     # constant on each orbit, so cutting by it leaves the orbit whole; the
     # word format translates each element to its orbit's index
     r, t = ring(spec), table(spec)
-    bits, reps = r.unit_orbits
+    classes, reps = r.unit_orbits
     assert r.unit_orbits is r._facts["orbits"]
-    classes = [b.bit_length() - 1 for b in bits]
-    assert classes[0] == 0 and list(reps) == sorted(reps) and bits == tuple(1 << k for k in classes)
-    _, _, _, to_class, class_bits, _ = _word_format(r)
-    assert list(to_class) == classes + [0] * (256 - r.size)
-    assert class_bits == [(k, 1 << k) for k in range(len(reps))]
+    assert classes[0] == 0 and list(reps) == sorted(reps)
+    _, _, _, to_class, bits, _ = _word_format(r)
+    assert list(to_class) == list(classes) + [0] * (256 - r.size)
+    assert bits == tuple(1 << k for k in classes)
     for x in range(r.size):
         assert reps[classes[x]] == min(y for y in range(r.size) if classes[y] == classes[x])
         orbit = {r.mul(x, u) for u in r.units}
@@ -509,6 +514,41 @@ def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
     assert len(spans) == len(set(spans)) == len(sizes) > 1
     for mask, size in sizes.items():
         assert size == len(span(r, [x for k, x in enumerate(reps) if mask >> k & 1]))
+
+
+# |Rc| against a second method: the size of the right ideal c_1R + ... + c_nR
+# (helpers.generated_ideal_size), with no multiple of the word taken
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(BEYOND_LOCAL_SPECS), st.data())
+def test_cyclic_sizes_are_the_sizes_of_the_right_ideals_of_the_entries(spec, data):
+    r = ring(spec)
+    k, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, r.size - 1), min_size=n, max_size=n)
+    code = fc.build_code(r, data.draw(st.lists(row, min_size=k, max_size=k)), table(spec))
+    assert code.cyclic_sizes == [generated_ideal_size(r, w) for w in code.word_order]
+
+
+@pytest.mark.parametrize("spec", ["M3(GF(2))", "Z512", "GF(512)", "Z8xZ64", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"])
+def test_cyclic_sizes_at_the_cap_are_the_sizes_of_the_right_ideals(spec):
+    # every 4th multiple of a drawn row of 6 entries
+    r, rng = ring(spec), random.Random(spec)
+    code = fc.build_code(r, [tuple(rng.randrange(r.size) for _ in range(6))], table(spec))
+    sizes = code.cyclic_sizes
+    for i in range(0, code.size, 4):
+        assert sizes[i] == generated_ideal_size(r, code.word(i))
+
+
+def test_left_ideals_of_the_entries_fail_the_second_method():
+    # over M2(GF(2)), (E11, E12) has |Rc| = 4, the size of E11R + E12R (the
+    # matrices with a zero second row), but RE11 + RE12 is the whole ring
+    r = ring("M2(GF(2))")
+    e11, e12 = (fc.parse_element(r, x) for x in ("[1;0;0;0]", "[0;1;0;0]"))
+    code = fc.build_code(r, [(e11, e12)], table("M2(GF(2))"))
+    left = [generated_ideal_size(r, w, side="left") for w in code.word_order]
+    assert code.cyclic_sizes == [generated_ideal_size(r, w) for w in code.word_order] != left
+    assert code.cyclic_size((e11, e12)) == 4 == generated_ideal_size(r, (e11, e12))
+    assert generated_ideal_size(r, (e11, e12), side="left") == 16
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -9,7 +9,7 @@ import frobcode as fc
 from frobcode import cli
 from helpers import (CAP_SPECS, SUITE_SPECS, reference_principal_left_ideals,
                      reference_solve_weight_axioms, reference_tables, reference_units, ring,
-                     ring_specs)
+                     ring_specs, unit_orbit_index)
 
 # rings small enough for cubic axiom sweeps
 SMALL_SPECS = ["Z2", "Z4", "Z6", "Z9", "GF(4)", "GF(8)", "GF(9)", "M2(GF(2))", "Z2xZ3", "CHAIN(2)", "CHAIN(3)"]
@@ -290,6 +290,35 @@ def test_invalid_specs_rejected():
         fc.build_ring(fc.Mat(0, fc.Zm(2)))
 
 
+# specs built by hand, not parsed, so only build_ring checks their terms:
+# the first invalid term in pre-order (a term before its subterms, left
+# before right) raises, after a cap error
+@pytest.mark.parametrize("spec, message", [
+    (fc.Prod(fc.Zm(1), fc.GF(4, 1)), "Z1: modulus"),
+    (fc.Prod(fc.GF(4, 1), fc.Zm(1)), "4 is not prime"),
+    (fc.Mat(0, fc.Prod(fc.Zm(1), fc.GF(2, 0))), "M0: matrix size"),
+    (fc.Mat(1, fc.Prod(fc.Zm(2), fc.ChainQuad(6))), "6 is not a prime power"),
+    (fc.Prod(fc.Mat(1, fc.GF(2, 0)), fc.Zm(0)), "GF.2\\^0.: exponent"),
+    (fc.Prod(fc.Zm(2), fc.Mat(1, fc.GF(11, 2))), "coefficients above 9"),
+    (fc.Prod(fc.Zm(1), fc.Zm(600)), "more than 512 elements"),
+    (fc.Mat(2, fc.Prod(fc.GF(4, 1), fc.Zm(5))), "more than 512 elements"),
+], ids=["Z1xGF(4^1)", "GF(4^1)xZ1", "M0(Z1xGF(2^0))", "M1(Z2xCHAIN(6))",
+        "M1(GF(2^0))xZ0", "Z2xM1(GF(11^2))", "Z1xZ600", "M2(GF(4^1)xZ5)"])
+def test_nested_invalid_specs_raise_their_first_invalid_term(spec, message):
+    with pytest.raises(fc.RingSpecError, match=message):
+        fc.build_ring(spec)
+
+
+def test_the_field_of_a_chain_ring_is_no_checked_term(monkeypatch):
+    # CHAIN(q) builds its field GF(p^f) through the field's kernel: a term
+    # the spec does not hold is not checked, so GF(11^2), which has no
+    # literal syntax, could serve CHAIN(121)
+    seen, check = [], fc.rings._check_term
+    monkeypatch.setattr(fc.rings, "_check_term", lambda spec: seen.append(spec) or check(spec))
+    assert fc.build_ring(fc.ChainQuad(9)).size == 81
+    assert seen == [fc.ChainQuad(9)]
+
+
 def test_cardinality_cap():
     with pytest.raises(fc.CardinalityCapError):
         fc.build_ring(fc.Zm(600))
@@ -466,6 +495,26 @@ def test_matrix_ring_multiplication_table_is_built_with_the_ring():
     r = fc.build_ring(fc.parse_ring_spec("M2(GF(2))"))
     assert r._facts[MUL] == reference_tables(r.spec)["mul_table"]
     assert r.mul_table is r._facts[MUL]
+
+
+# one spec per constructor, and a product with a matrix factor
+@pytest.mark.parametrize("spec", ["Z12", "GF(7)", "GF(9)", "CHAIN(4)", "Z2xZ4", "M2(GF(2))", "M2(Z2)xZ2"])
+def test_every_kernel_hands_over_its_principal_left_ideals(spec, monkeypatch):
+    # the ring comes out of the build walk with its ideals: no principal_ideal
+    # runs to walk them, then or on the first read
+    def walked(*args):
+        raise AssertionError("principal ideal taken to walk the ideals")
+
+    monkeypatch.setattr(fc.rings, "principal_ideal", walked)
+    r = fc.rings._build(fc.parse_ring_spec(spec))
+    assert list(r.principal_left_ideals.items()) == list(reference_principal_left_ideals(r).items())
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + ["Z2xZ4"] + CAP_SPECS)
+def test_unit_orbits_number_each_element(spec):
+    orbit, reps = ring(spec).unit_orbits
+    assert list(orbit) == unit_orbit_index(ring(spec), "right")
+    assert [orbit[x] for x in reps] == list(range(len(reps)))
 
 
 def _assert_reference_facts(r):
