@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, islice, product
+from operator import ne
 from typing import Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
@@ -48,9 +49,9 @@ def simplex(ring: Ring, m: int, table: HomWeightTable | None = None) -> LinearCo
     # |R|^m is checked against the cap without being built: m may be huge
     if _capped_power(ring.size, m, _SIMPLEX_CAP + 1) > _SIMPLEX_CAP + 1:
         raise ValueError(f"simplex length |R|^m - 1 exceeds the cap of {_SIMPLEX_CAP} columns")
-    columns = [col for col in product(range(ring.size), repeat=m) if any(col)]
-    rows = [tuple(col[i] for col in columns) for i in range(m)]
-    return build_code(ring, rows, table)
+    # the sweep's first column is its only zero one
+    columns = islice(product(range(ring.size), repeat=m), 1, None)
+    return build_code(ring, list(zip(*columns)), table)
 
 
 OCTACODE_ROWS = (
@@ -77,12 +78,9 @@ _GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 def gray_map(word: Sequence[int]) -> tuple[int, ...]:
     """Coordinatewise Gray image of a quaternary word (length doubles)."""
-    out: list[int] = []
-    for c in word:
-        if not 0 <= c <= 3:
-            raise ValueError(f"coordinate {c} is not a Z4 element")
-        out.extend(_GRAY[c])
-    return tuple(out)
+    if (bad := next((c for c in word if not 0 <= c <= 3), None)) is not None:
+        raise ValueError(f"coordinate {bad} is not a Z4 element")
+    return tuple(chain.from_iterable(map(_GRAY.__getitem__, word)))
 
 
 def gray_image(code: LinearCode) -> frozenset[tuple[int, ...]]:
@@ -94,14 +92,7 @@ def gray_image(code: LinearCode) -> frozenset[tuple[int, ...]]:
 
 def min_hamming_distance(words) -> int | None:
     """Minimum pairwise Hamming distance of a set of equal-length words."""
-    words = sorted(words)
-    best = None
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            dist = sum(1 for a, b in zip(u, v) if a != b)
-            if best is None or dist < best:
-                best = dist
-    return best
+    return min((sum(map(ne, u, v)) for u, v in combinations(words, 2)), default=None)
 
 
 def hjelmslev_line(ring: Ring, table: HomWeightTable | None = None) -> LinearCode:
@@ -126,8 +117,7 @@ def hjelmslev_line(ring: Ring, table: HomWeightTable | None = None) -> LinearCod
             continue
         columns.append(v)
         seen.update((mul[v[0]][u], mul[v[1]][u]) for u in ring.units)
-    rows = [tuple(col[i] for col in columns) for i in range(2)]
-    return build_code(ring, rows, table)
+    return build_code(ring, list(zip(*columns)), table)
 
 
 def _length2_chain_radical(ring: Ring) -> frozenset[int]:

@@ -381,14 +381,18 @@ def build_code(ring: Ring, rows: Sequence[Sequence[int]],
 
 
 def _check_rows(ring: Ring, rows: Iterable[Sequence[int]], n: int) -> None:
-    """Refuse rows (tuples or packed words) other than n elements of the ring."""
+    """Refuse rows (tuples or packed words) other than n elements of the
+    ring.  Entries are read through ``operator.index``, as membership reads
+    them, so a float, even one equal to an int, is refused by name."""
     for r in rows:
         if len(r) != n:
             raise ValueError("generator rows have unequal lengths")
-        low, high = min(r, default=0), max(r, default=0)
-        if low < 0 or high >= ring.size:
-            bad = low if low < 0 else high
-            raise ValueError(f"entry {bad} outside the ring of size {ring.size}")
+        try:
+            bad = next(filterfalse(range(ring.size).__contains__, map(index, r)), None)
+        except TypeError:
+            bad = next(x for x in r if not hasattr(x, "__index__"))
+        if bad is not None:
+            raise ValueError(f"entry {bad!r} outside the ring of size {ring.size}")
 
 
 def _extend_level(ring: Ring, level: Collection, row) -> dict:
@@ -485,15 +489,16 @@ def _as_positions(code: LinearCode, s) -> frozenset[int]:
     return positions
 
 
-def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
-    """Subcode of words supported inside ``s`` (a position set or a word).
+def shorten(code: LinearCode, s) -> LinearCode:
+    """Subcode of words supported inside ``s`` (a position set or a word),
+    at the ambient length, zero outside ``s``.
 
-    The result keeps the ambient length with zeroed coordinates outside
-    ``s``; ``compact=True`` drops those always-zero coordinates instead.
-    When no word meets the coordinates outside ``s``, the subcode is the
-    code itself, or with ``compact=True`` its cut to ``s``, made from the
-    code's generators (``_cut``).  Otherwise the kept words are a kernel
-    with no generators at hand, and ``code_from_words`` finds them.
+    Its cut to ``s``, without those always-zero coordinates, is
+    ``residual(shorten(code, s), outside)`` for ``outside`` the positions
+    not in ``s``.  When no word meets the coordinates outside ``s``, the
+    subcode is the code itself, made from the code's generators (``_cut``).
+    Otherwise the kept words are a kernel with no generators at hand, and
+    ``code_from_words`` finds them.
     """
     positions = _as_positions(code, s)
     words, n = code._packed, code.n
@@ -501,11 +506,8 @@ def shorten(code: LinearCode, s, compact: bool = False) -> LinearCode:
     # word i meets the coordinates outside s where hit[i] is nonzero
     hit = _lanes_or(words, n, outside) if _by_columns(words, n) else map(any, map(gather(outside), words))
     kept = list(compress(words, map(not_, hit)))
-    cols = [i - 1 for i in sorted(positions)] if compact else range(n)
     if len(kept) == len(words):
-        return _cut(code, cols)
-    if compact:
-        kept, n = _project(kept, n, cols), len(cols)
+        return _cut(code, range(n))
     return code_from_words(code.ring, n, kept, code.table)
 
 

@@ -1,6 +1,6 @@
 """Shared cached builders for the test suite, the reference ring tables,
-ring facts and chain certificate, and MacWilliams duality as a second
-method for codes."""
+ring facts and chain certificate, and MacWilliams duality and column
+multisets as second methods for codes."""
 
 from collections import Counter
 from fractions import Fraction
@@ -456,3 +456,46 @@ def macwilliams_transform(code, K) -> Counter:
             poly = product_
         total.update(poly)
     return Counter({mono: coef for mono, coef in total.items() if coef})
+
+
+# ---------------------------------------------------------------------------
+# Column multisets (T. Honold and I. Landjev, "Linear codes over finite chain
+# rings", Electron. J. Combin. 7, 2000).  Coordinate j of the word x.G is
+# x.g_j for the column g_j, and x.(g u) = (x.g) u for a unit u.  A
+# hom_weight_table weight, and being zero, are constant on right unit orbits
+# aU, so all columns of one right unit orbit {g u} give a message x the same
+# weight: G's columns grouped by orbit, with multiplicities, weigh every word
+# without the word set.
+# ---------------------------------------------------------------------------
+
+def column_multiset_parameters(code, side: str = "right") -> tuple:
+    """(M, d/gamma, least nonzero Hamming weight) of ``code``, read from its
+    generator columns grouped by right unit orbit {g u}, or with ``side``
+    "left" by {u g}, which is not valid over a non-commutative ring.
+
+    Each message x of R^k is weighed as the sum over orbit columns g of
+    their multiplicity times the weight numerator of x.g, and its Hamming
+    weight likewise; M is |R|^k over the number of messages of Hamming
+    weight 0.  The messages are swept once per orbit column, so the cost is
+    |R|^k times their number.  That does not help simplex GF(2), m = 12
+    (4095 orbit columns, as GF(2) has one unit), nor the 64-entry files at
+    the sweep cap (512^2 messages), and no second kernel is kept for them.
+    """
+    ring, num = code.ring, code.table.numerators
+    add, mul = ring.add_table, ring.mul_table
+    orbits = Counter(
+        min(tuple(mul[g][u] if side == "right" else mul[u][g] for g in column) for u in ring.units)
+        for column in zip(*code.generators))
+    messages = ring.size ** len(code.generators)
+    weights, hamming = [0] * messages, [0] * messages
+    for column, count in orbits.items():
+        values = [0]  # x.g for each message x of the sweep so far, in index order
+        for g in column:
+            scaled = [row[g] for row in mul]
+            values = [add[v][t] for v in values for t in scaled]
+        weights = [w + count * num[v] for w, v in zip(weights, values)]
+        hamming = [h + count * (v != 0) for h, v in zip(hamming, values)]
+    least = min((w for w, h in zip(weights, hamming) if h), default=None)
+    return (messages // hamming.count(0),
+            None if least is None else Fraction(least, code.table.denominator),
+            min(filter(None, hamming), default=None))

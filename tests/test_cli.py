@@ -548,12 +548,24 @@ def test_unknown_subcommand_is_named_by_its_choices(capsys):
 def test_bad_gamma_exits_1(capsys):
     code, _, err = run(capsys, "weight", "--ring", "Z4", "--gamma", "zero")
     assert code == 1
-    code, _, err = run(capsys, "weight", "--ring", "Z4", "--gamma", "-1/2")
-    assert code == 1
+    # spaced, -1/2 is read by argparse as a flag, and --gamma gets no value
+    code, out, err = run(capsys, "weight", "--ring", "Z4", "--gamma", "-1/2")
+    assert (code, out) == (1, "")
+    assert "argument --gamma: expected one argument" in err
+    for argv in (["--gamma", "0"], ["--gamma=-1/2"]):
+        code, out, err = run(capsys, "weight", "--ring", "Z4", *argv)
+        assert (code, out) == (1, "")
+        assert "--gamma must be positive" in err
     # Fraction("1_0") is 10 from Python 3.11 on and an error on 3.10
     code, out, err = run(capsys, "weight", "--ring", "Z4", "--gamma", "1_0")
     assert (code, out) == (1, "")
     assert "--gamma '1_0' is not a rational p/q" in err
+
+
+def test_hjelmslev_over_a_ring_that_is_not_local_exits_1(capsys):
+    code, out, err = run(capsys, "family", "hjelmslev", "--ring", "Z4xZ2")
+    assert (code, out) == (1, "")
+    assert "frobcode: error: Z4xZ2 is not local" in err
 
 
 @pytest.mark.parametrize("literal", ["1e²", "²", "1e1²"])

@@ -205,6 +205,9 @@ def test_hjelmslev_rejects_non_chain_rings():
         fc.hjelmslev_line(ring("Z6"), table("Z6"))  # not local
     with pytest.raises(fc.NotChainRingError):
         fc.hjelmslev_line(ring("Z8"), table("Z8"))  # length 3
+    # Z6 has a zero radical; Z4xZ2's is {(0, 0), (2, 0)}, and it is not local
+    with pytest.raises(fc.NotChainRingError, match="Z4xZ2 is not local"):
+        fc.hjelmslev_line(ring("Z4xZ2"), table("Z4xZ2"))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,21 @@ def test_gamma_independence_and_scaling():
     assert scaled.weight(2) == F(10, 7)
 
 
+def test_character_table_that_differs_from_the_oracle_is_refused(monkeypatch):
+    # verify_axioms compares the character formula's table with the oracle:
+    # one moved value of the oracle makes them differ
+    solve = fc.homweight.solve_weight_axioms
+
+    def moved(r):
+        solution = list(solve(r))
+        solution[2] += 1
+        return tuple(solution)
+
+    monkeypatch.setattr(fc.homweight, "solve_weight_axioms", moved)
+    with pytest.raises(fc.CharacterError, match=r"character formula on Z4 violates the weight axioms"):
+        fc.hom_weight_table(ring("Z4"))
+
+
 def test_gamma_must_be_positive():
     with pytest.raises(ValueError):
         fc.hom_weight_table(ring("Z4"), 0)

@@ -10,14 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
 from frobcode.lincode import _word_format, scale_word, word_add
-from helpers import (BEYOND_LOCAL_SPECS, generated_ideal_size, krawtchouk, macwilliams_transform,
-                     right_dual_enumerator, ring, ring_specs, table, unit_orbit_index)
+from helpers import (BEYOND_LOCAL_SPECS, column_multiset_parameters, generated_ideal_size, krawtchouk,
+                     macwilliams_transform, right_dual_enumerator, ring, ring_specs, table,
+                     unit_orbit_index)
 
 F = Fraction
 
 
 def z4_code(rows):
     return fc.build_code(ring("Z4"), rows, table("Z4"))
+
+
+def shortened_cut(code, s):
+    """The shortened code cut to ``s`` (a position set or a word):
+    ``residual(shorten(code, s), outside)``, for ``outside`` the positions
+    not in ``s``."""
+    inside = s if isinstance(s, (set, frozenset)) else fc.support(s)
+    return fc.residual(fc.shorten(code, s), set(range(1, code.n + 1)) - inside)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +315,7 @@ def check_against_the_tuple_reference(code, rows):
         rest = [i for i in range(n) if i + 1 not in s]
         expected = [
             (fc.shorten(code, s), inside),
-            (fc.shorten(code, s, compact=True), [tuple(w[i] for i in cols) for w in inside]),
+            (shortened_cut(code, s), [tuple(w[i] for i in cols) for w in inside]),
             (fc.residual(code, s), [tuple(w[i] for i in rest) for w in order]),
         ]
         for derived, words in expected:
@@ -507,7 +516,7 @@ def test_codes_over_one_ring_and_table_share_their_cyclic_sizes(monkeypatch):
     reps, sizes = r.unit_orbits[1], entry[5]
     chain = [stage.code for stage in fc.residual_chain(code).stages]
     assert len(chain) > 1
-    derived = [fc.shorten(code, c), fc.shorten(code, c, compact=True), fc.residual(code, c)]
+    derived = [fc.shorten(code, c), shortened_cut(code, c), fc.residual(code, c)]
     for shared in [code, *derived, *chain]:
         check_per_word_facts(shared)
         assert shared._format is entry is _word_format(r)
@@ -662,6 +671,46 @@ def test_macwilliams_duality_checks_the_enumerated_codes():
             comp: code.size * count for comp, count in dual.items()}
 
 
+def multiset_codes(spec, count, seed):
+    """``count`` drawn codes over ``spec``, with some of their shortened and
+    residual codes, whose generators are found or cut, not given."""
+    r, rng = ring(spec), random.Random(seed)
+    codes = []
+    for _ in range(count):
+        code = fc.build_code(r, random_rows(rng, r, rng.randint(1, 3), rng.randint(1, 5)), table(spec))
+        c = code.word(rng.randrange(code.size))
+        codes += [code, fc.shorten(code, c), fc.residual(code, c)]
+    return codes
+
+
+def parameters(code):
+    return code.size, code.min_hom_norm, code.min_hamming
+
+
+def test_column_multisets_check_the_enumerated_codes():
+    # a second method for M, d/gamma and the least Hamming weight: G's
+    # columns grouped by right unit orbit weigh every message, with no word
+    # set, over a non-commutative ring, a Hjelmslev line and commutative rings
+    m2 = ring("M2(GF(2))")
+    codes = [fc.simplex(m2, 1, table("M2(GF(2))")), fc.simplex(m2, 2, table("M2(GF(2))")),
+             fc.hjelmslev_line(ring("CHAIN(9)"), table("CHAIN(9)")), fc.octacode(table("Z4"))]
+    for spec in MACWILLIAMS_SPECS:
+        codes += multiset_codes(spec, 10, spec)
+    for code in codes:
+        assert column_multiset_parameters(code) == parameters(code)
+
+
+def test_left_orbit_columns_fail_the_column_multisets():
+    # x.(u g) is not (x.g) u' over M2(GF(2)): grouping the columns by left
+    # unit orbits {u g} misreads its simplex codes and some drawn codes
+    m2 = ring("M2(GF(2))")
+    for m in (1, 2):
+        code = fc.simplex(m2, m, table("M2(GF(2))"))
+        assert column_multiset_parameters(code, "left") != parameters(code)
+    drawn = multiset_codes("M2(GF(2))", 10, 30)
+    assert any(column_multiset_parameters(code, "left") != parameters(code) for code in drawn)
+
+
 def test_closure_exhaustive():
     code = z4_code([(1, 2, 3), (0, 2, 2)])
     for u in code.words:
@@ -693,7 +742,7 @@ def test_shorten_full_and_empty_position_sets():
 def test_shorten_compact_drops_vanishing_coordinates():
     code = fc.octacode()
     c = (0, 0, 0, 2, 0, 2, 2, 2)
-    sho = fc.shorten(code, c, compact=True)
+    sho = shortened_cut(code, c)
     assert sho.n == 4
     assert sho.words == {(0, 0, 0, 0), (2, 2, 2, 2)}
 
@@ -702,8 +751,8 @@ def test_projections_keep_zero_and_one_column():
     code = z4_code([(1, 2, 3), (0, 2, 0)])
     assert fc.residual(code, {1, 2, 3}).words == {()}
     assert fc.residual(code, {1, 3}).words == {(0,), (2,)}
-    assert fc.shorten(code, {2}, compact=True).words == {(0,), (2,)}
-    assert fc.shorten(code, set(), compact=True).words == {()}
+    assert shortened_cut(code, {2}).words == {(0,), (2,)}
+    assert shortened_cut(code, set()).words == {()}
 
 
 def test_shorten_validates_positions():
@@ -720,6 +769,25 @@ def test_derived_codes_refuse_words_outside_the_ring(derive, word, bad):
     # (9,)*8 over Z4 once shortened to all 256 words: its entries were never read
     with pytest.raises(ValueError, match=f"entry {bad} outside the ring of size 4"):
         derive(fc.octacode(), word)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "GF(257)"])  # bytes words, then tuple words
+def test_entries_that_are_not_ints_are_refused_by_name(spec):
+    # entries are read through operator.index, as membership reads them: a
+    # float once passed shorten and residual, and coset_average indexed by it
+    r, t = ring(spec), table(spec)
+    code = fc.build_code(r, [(1, 2, 3)], t)
+    with pytest.raises(ValueError, match=r"entry 1\.5 outside the ring"):
+        fc.shorten(code, (1.5, 0, 0))
+    with pytest.raises(ValueError, match=r"entry 0\.5 outside the ring"):
+        fc.residual(code, (0.5, 0, 0))
+    with pytest.raises(ValueError, match=r"entry 1\.0 outside the ring"):
+        fc.coset_average(code, (1.0, 2, 3))
+    with pytest.raises(ValueError, match=r"entry 2\.0 outside the ring"):
+        fc.build_code(r, [(1, 2.0, 3)], t)
+    with pytest.raises(ValueError, match="entry '1' outside the ring"):
+        fc.code_from_words(r, 3, [(0, 0, 0), ("1", 2, 3)], t)
+    assert (1.0, 2, 3) not in code and (1, 2, 3) in code
 
 
 def test_residual_octacode():
@@ -778,7 +846,7 @@ def test_derived_codes_match_their_per_word_definitions(drawn, data):
 
     cases = [
         (fc.shorten(code, s), n, set(inside)),
-        (fc.shorten(code, s, compact=True), len(kept), project(inside, kept)),
+        (shortened_cut(code, s), len(kept), project(inside, kept)),
         (fc.residual(code, s), len(outside), project(code.word_order, outside)),
     ]
     for derived, length, words in cases:
@@ -789,14 +857,14 @@ def test_derived_codes_match_their_per_word_definitions(drawn, data):
 
 
 def check_cut_against_code_from_words(code, s):
-    """``residual(C, s)``, and ``shorten(C, s)`` in both forms when no word
-    meets the coordinates outside ``s``, made from C's generators, against
+    """``residual(C, s)``, and ``shorten(C, s)`` and its cut to ``s`` when no
+    word meets the coordinates outside ``s``, made from C's generators, against
     ``code_from_words`` on the same words: the same words in the same order,
     support and per-word facts, and generators that span exactly the words."""
     r, t = code.ring, code.table
     derived = [fc.residual(code, s)]
     if {i for w in code.word_order for i in word_support(w)} <= s:
-        derived += [fc.shorten(code, s), fc.shorten(code, s, compact=True)]
+        derived += [fc.shorten(code, s), shortened_cut(code, s)]
     for cut in derived:
         reference = fc.code_from_words(r, cut.n, cut.word_order, t)
         assert cut.word_order == reference.word_order == tuple(sorted(cut.word_order))
@@ -850,7 +918,7 @@ def test_cuts_make_no_search_and_no_span(monkeypatch):
         monkeypatch.setattr(fc.lincode, name, counted)
     everything = set(range(1, 9))
     cuts = [fc.residual(code, c), fc.residual(code, set()), fc.shorten(code, everything),
-            fc.shorten(code, everything, compact=True)]
+            shortened_cut(code, everything)]
     chain = fc.residual_chain(code)
     assert chain.r > 0 and [cut.size for cut in cuts] == [128, 256, 256, 256]
     assert calls == Counter()
