@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from operator import ne
+from operator import index, ne
 from typing import Sequence
 
 from .homweight import HomWeightTable, hom_weight_table
@@ -77,9 +77,14 @@ _GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
 def gray_map(word: Sequence[int]) -> tuple[int, ...]:
-    """Coordinatewise Gray image of a quaternary word (length doubles)."""
-    if (bad := next((c for c in word if not 0 <= c <= 3), None)) is not None:
-        raise ValueError(f"coordinate {bad} is not a Z4 element")
+    """Coordinatewise Gray image of a quaternary word (length doubles).
+
+    Coordinates are read through ``operator.index``, as ``lincode`` reads
+    word entries, so a float, even one equal to an int, is refused by name.
+    """
+    for c in word:
+        if not (hasattr(c, "__index__") and 0 <= index(c) <= 3):
+            raise ValueError(f"coordinate {c!r} is not a Z4 element")
     return tuple(chain.from_iterable(map(_GRAY.__getitem__, word)))
 
 

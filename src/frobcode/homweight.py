@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rings import CharacterError, Ring, _divmod_monic, socle_local
+from .rings import _MUL, CharacterError, Ring, _divmod_monic, socle_local
 
 
 class NonRationalSumError(ValueError):
@@ -136,13 +136,16 @@ def hom_weight_table(ring: Ring, gamma: Fraction | int = 1) -> HomWeightTable:
     """Weight table from the character formula, checked by ``verify_axioms``.
 
     One character sum per right unit orbit xU (``Ring.unit_orbits``), at
-    its smallest member: sum_u chi(xvu) = sum_u chi(xu) for a unit v.
+    its smallest member: sum_u chi(xvu) = sum_u chi(xu) for a unit v.  So
+    it reads one multiplication row per orbit, and never makes the whole
+    table.
     """
-    mul, units, chi = ring.mul_table, ring.units, ring.char_exp
+    units, chi = ring.units, ring.char_exp
     orbit, reps = ring.unit_orbits
     values = []
     for x in reps:
-        s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[mul[x][u]] for u in units])
+        row = ring._row(_MUL, x)
+        s = CyclotomicSum.from_exponents(ring.add_exponent, [chi[row[u]] for u in units])
         values.append(1 - cyclotomic_reduce(s) / len(units))
     norm = tuple(map(values.__getitem__, orbit))
     table = HomWeightTable(ring=ring, gamma=gamma, norm_weight=norm)

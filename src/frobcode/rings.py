@@ -16,10 +16,11 @@ rows.  Every row is made by C-level slices, gathers (``gather``) and
 list concatenation, with no Python arithmetic per entry, so the int
 objects of a table are shared from one range rather than allocated once
 per entry.  The identity of a product or matrix ring is moved onto index
-1 while its rows are made.  The addition table is made with the ring;
-the multiplication table is a fact computed on first read, from a
-builder the constructor hands over, so a ring whose products nothing
-reads (``ring info``, the weight oracle) never makes it.  The units and
+1 while its rows are made.  A table is made row by row as its rows are
+read, and whole on the first read of the whole table, unless the
+constructor needs it whole to build itself: the character check reads
+one addition row per generator of (R, +), and the weight one
+multiplication row per right unit orbit.  The units and
 the principal left ideals come from the same structure: Z_m by gcd, a
 field trivially, F_q[u]/(u^2) by whether the constant term is 0, and a
 product as the pairs of its factors' units and ideals, (R x S)(x, y) =
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import getitem, itemgetter
@@ -67,9 +68,9 @@ class NotLocalError(ValueError):
 
 DEFAULT_CAP = 512
 
-# the key of Ring._facts that holds the multiplication table, or until its
-# first read the builder that makes its rows
-_MUL = "mul"
+# the keys of Ring._facts that hold the addition and multiplication tables,
+# each whole or, until its first whole read, lazy (see ``_by_rows``)
+_ADD, _MUL = "add", "mul"
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +394,19 @@ class Ring:
     smallest generator and generators in index order.  The generator sets
     partition the nonzero elements, and Rx is the disjoint union of the
     generator sets of the principal left ideals inside it; the dict is
-    shared by every caller, so treat it as read-only.  ``mul_table`` (made
-    on first read, unless the constructor hands it over made), ``radical``
-    (read off the ideals) and ``unit_orbits`` (the right unit orbits) are
-    kept on the ring in ``_facts``, the last two computed on first use;
-    ``lincode`` keeps the ring's word format there too, and the ring itself
-    knows nothing of codes.  There is no negation table: -x is the column
-    of 0 in row x of ``add_table``.
+    shared by every caller, so treat it as read-only.  Both tables,
+    ``radical`` (read off the ideals) and ``unit_orbits`` (the right unit
+    orbits) are kept on the ring in ``_facts``.  A table is made whole on
+    its first whole read, unless the constructor hands it over made;
+    until then ``_row`` makes and keeps the rows it is asked for, one at a
+    time.  ``lincode`` keeps the ring's word format there too, and the
+    ring itself knows nothing of codes.  There is no negation table: -x is
+    the column of 0 in row x of ``add_table``.
     """
 
     spec: RingSpec
     name: str
     size: int
-    add_table: tuple[tuple[int, ...], ...]
     units: frozenset[int]
     principal_left_ideals: dict[frozenset[int], tuple[int, ...]] = field(repr=False)
     add_exponent: int
@@ -425,15 +426,29 @@ class Ring:
         return self.mul_table[a][b]
 
     @property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table(_ADD)
+
+    @property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """The multiplication table, made by the constructor's builder on
-        first read unless the constructor handed it over made; the builder
-        is dropped then, and with it the factor rings a product's builder
-        holds."""
-        table = self._facts[_MUL]
-        if callable(table):
-            table = self._facts[_MUL] = tuple(table())
+        return self._table(_MUL)
+
+    def _table(self, key: str) -> tuple[tuple[int, ...], ...]:
+        """The whole table ``key``, made by the constructor's builder on first
+        read unless the constructor handed it over made.  The builder and the
+        rows made so far are dropped then, and once both tables are made, so
+        are the factor rings that a product's builders hold."""
+        table = self._facts[key] = _made(self._facts[key])
         return table
+
+    def _row(self, key: str, x: int) -> tuple[int, ...]:
+        """Row x of the table ``key``: read off the whole table if that is
+        made, else made alone by the constructor's row function and kept."""
+        table = self._facts[key]
+        if not callable(table[0]):
+            return table[x]
+        row, _, rows = table
+        return rows[x] if x in rows else rows.setdefault(x, row(x))
 
     @property
     def radical(self) -> frozenset[int]:
@@ -444,7 +459,7 @@ class Ring:
         two-sided, so unit membership suffices.
         """
         if "radical" not in self._facts:
-            one_plus, units = self.add_table[1], self.units
+            one_plus, units = self._row(_ADD, 1), self.units
             self._facts["radical"] = frozenset([0]).union(*(
                 gens for members, gens in self.principal_left_ideals.items()
                 if all(one_plus[y] in units for y in members)
@@ -461,11 +476,11 @@ class Ring:
         each orbit, and so is ann_l, as ann_l(xu) = ann_l(x).
         """
         if "orbits" not in self._facts:
-            mul, units = self.mul_table, self.units
             orbit, reps = {}, []
             for x in range(self.size):
-                if x not in orbit:
-                    orbit.update((y, len(reps)) for y in {mul[x][u] for u in units})
+                if x not in orbit:  # one multiplication row per orbit
+                    row = self._row(_MUL, x)
+                    orbit.update((y, len(reps)) for y in {row[u] for u in self.units})
                     reps.append(x)
             self._facts["orbits"] = (tuple(map(orbit.__getitem__, range(self.size))), tuple(reps))
         return self._facts["orbits"]
@@ -493,16 +508,22 @@ class Ideal:
 # -- constructor kernels ----------------------------------------------------
 #
 # Each kernel returns (names, add, mul, add_exponent, char_exp, units,
-# ideals) with the multiplicative identity on index 1.  ``mul`` is a builder:
-# called with no argument, it returns the rows of the multiplication table,
-# which ``Ring.mul_table`` makes on first read.  Every row of add and mul is
-# a tuple, made by slices, ``gather`` and list concatenation only.  A
-# product or matrix ring, whose identity has another raw index ``one``, swaps
-# the labels 1 and ``one`` in the ranges it gathers from, in its columns and in
-# its rows as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
-# come from the constructor's structure; a product reads its pairs through the
-# same swap.  M_n(S) alone makes its rows at once and hands over the table
-# itself: it reads its units off the rows and walks its ideals down the columns.
+# ideals) with the multiplicative identity on index 1.  ``add`` and ``mul``
+# are each a tuple of rows, made, or lazy (``_by_rows``): a row function,
+# which ``Ring._row`` calls for the rows it is asked for, and a builder of
+# the whole table, which ``Ring.add_table``/``mul_table`` call on first read.
+# Every row is a tuple, made by slices, ``gather`` and list concatenation
+# only.  Z_m, GF(p^k) and F_q[u]/(u^2) make the whole table as the map of the
+# row function; a product makes a row out of one row of each factor, and the
+# whole table by one batched ``_kron``.  A kernel that reads its own table in
+# full makes it at once: the addition table of GF(p^k), which its trace
+# reads, and of F_q[u]/(u^2), which its multiplication rows read, and both
+# tables of M_n(S), which reads its units off the rows and walks its ideals
+# down the columns.  A product or matrix ring, whose identity has another raw
+# index ``one``, swaps the labels 1 and ``one`` in the ranges it gathers from,
+# in its columns and in its rows as it builds.  ``units`` and ``ideals``
+# (``Ring.principal_left_ideals``) come from the constructor's structure; a
+# product reads its pairs through the same swap.
 
 
 def gather(indices: Sequence[int]):
@@ -526,19 +547,29 @@ def _swap(seq: list, one: int) -> list:
     return seq
 
 
-def _kron_rows(left, right, one: int) -> list[tuple[int, ...]]:
+def _by_rows(row, size: int, whole=None) -> tuple:
+    """A lazy table: the row function, the builder of the whole table (by
+    default the map of the row function) and the rows made so far."""
+    return row, whole or (lambda: map(row, range(size))), {}
+
+
+def _made(table) -> tuple[tuple[int, ...], ...]:
+    """``table`` made whole, if it is lazy (rows are never callable)."""
+    return tuple(table[1]()) if callable(table[0]) else table
+
+
+def _kron_rows(left, right, labels: Sequence[int]) -> list[tuple[int, ...]]:
     """Row (a, b) of the componentwise table, for rows a of left and b of right.
 
     On indices a * s + b, s = len(right[0]), the row is (left[a][c] * s +
-    right[b][d]) over the columns c * s + d, relabelled by ``_labels``.  It
-    is made of min(|left|, s) pieces, each gathered out of a slice of the
-    labels: blocks x * s + right[b] out of the shifted ranges, concatenated
-    in the order of left[a], or strides left[a] * s + y out of the strided
-    ranges, interleaved in the order of right[b].
+    right[b][d]) over the columns c * s + d, relabelled by ``labels``, which
+    ``_labels`` made.  It is made of min(|left|, s) pieces, each gathered out
+    of a slice of the labels: blocks x * s + right[b] out of the shifted
+    ranges, concatenated in the order of left[a], or strides left[a] * s + y
+    out of the strided ranges, interleaved in the order of right[b].
     """
     width, s = len(left[0]), len(right[0])
-    size = width * s
-    labels = _labels(size, one)
+    size, one = len(labels), labels[1]
     rows = []
     if width <= s:
         shifted = [labels[x:x + s] for x in range(0, size, s)]
@@ -562,25 +593,23 @@ def _kron_rows(left, right, one: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _kron(left, right, one: int = 1) -> list[tuple[int, ...]]:
+def _kron(left, right, one: int = 1) -> tuple[tuple[int, ...], ...]:
     """The table of (a, b) o (c, d) = (a o c, b o d) on indices a * |right| + b."""
-    return _swap(_kron_rows(left, right, one), one)
+    return tuple(_swap(_kron_rows(left, right, _labels(len(left) * len(right), one)), one))
 
 
 def _kron_vec(left, right) -> tuple[int, ...]:
     """The map (a, b) -> (left[a], right[b]) on indices a * |right| + b."""
-    return _kron_rows([left], [right], 1)[0]
+    return _kron_rows([left], [right], _labels(len(left) * len(right), 1))[0]
 
 
 def _build_zm(m: int):
     residues = tuple(range(m))
     doubled = residues * 2  # doubled[i] = i mod m, for i < 2m
-    add = [doubled[a:a + m] for a in range(m)]
-
-    def mul():
-        wrapped = residues * m  # wrapped[i] = i mod m
-        # row a is 0, a, 2a, ... mod m: every a-th entry of wrapped
-        return [(0,) * m] + [wrapped[:a * m:a] for a in range(1, m)]
+    add = _by_rows(lambda a: doubled[a:a + m], m)
+    wrapped = cache(lambda: residues * m)  # wrapped()[i] = i mod m, made on first read
+    # row a of mul is 0, a, 2a, ... mod m: every a-th entry of wrapped
+    mul = _by_rows(lambda a: wrapped()[:a * m:a] if a else (0,) * m, m)
 
     # Rx is the multiples of d = gcd(x, m), and x generates it exactly when
     # gcd(x, m) = d; d is the smallest generator, and d = 1 are the units
@@ -636,7 +665,7 @@ def _build_gf(p: int, k: int):
     size = p ** k
     names = ["".join(map(str, _digits(v, p, k))) for v in range(size)]
     # coefficient vectors add digit by digit: the k-fold combination of Z_p
-    add = reduce(_kron, [prime[1]] * k)
+    add = reduce(_kron, [_made(prime[1])] * k)
 
     # row a of mul is exp[log a + log b] over b != 0: a gather of the exp
     # table from offset log a
@@ -645,8 +674,8 @@ def _build_gf(p: int, k: int):
     for i, x in enumerate(exp):
         log[x] = i
     logs = log[1:]
-    pick, exp = gather(logs), exp * 2
-    mul = lambda: [(0,) * size] + [(0,) + pick(exp[la:la + size - 1]) for la in logs]
+    pick, exp, zero = gather(logs), exp * 2, (0,) * size
+    mul = _by_rows(lambda a: (0,) + pick(exp[log[a]:log[a] + size - 1]) if a else zero, size)
 
     # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1)),
     # through the Frobenius map x -> x^p
@@ -727,10 +756,17 @@ def _build_mat(n: int, inner: Ring):
 
 
 def _build_prod(left: Ring, right: Ring):
-    one = right.size + 1
+    one, s = right.size + 1, right.size
     names = [f"{a}|{b}" for a in left.element_names for b in right.element_names]
-    add = _kron(left.add_table, right.add_table, one)
-    mul = lambda: _kron(left.mul_table, right.mul_table, one)
+    labels = _labels(len(names), one)
+
+    def table(key: str):
+        def row(x):  # raw row labels[x] = a * s + b: row a of left with row b of right
+            a, b = divmod(labels[x], s)
+            return _kron_rows([left._row(key, a)], [right._row(key, b)], labels)[0]
+        return _by_rows(row, len(names), lambda: _kron(left._table(key), right._table(key), one))
+
+    add, mul = table(_ADD), table(_MUL)
 
     n_left, n_right = left.add_exponent, right.add_exponent
     n = lcm(n_left, n_right)
@@ -740,8 +776,6 @@ def _build_prod(left: Ring, right: Ring):
     ]
     # the units are the pairs of units, and (R x S)(x, y) = Rx x Sy, generated
     # exactly by the pairs of generators; pairs read through the relabelling
-    s = right.size
-    labels = _labels(len(names), one)
     blocks = [labels[a:a + s] for a in range(0, len(names), s)]
 
     def pairs(lefts, rights):  # the labels of (a, b), a in lefts, b in rights
@@ -768,25 +802,22 @@ def _build_chain(q: int, fld: Ring):
     add = _kron(fadd, fadd)
     char = [fld.char_exp[fadd[a][b]] for b in range(q) for a in range(q)]
 
-    def mul():
+    def mul_row(x):
         # (a + bu)(c + du) = (a + bu)c + (ad)u: over each d, the products
         # (a + bu)c gathered out of the add row of (ad)u
-        fmul, rows = fld.mul_table, []
-        for b in range(q):
-            for a in range(q):
-                pick = gather([lo + q * hi for lo, hi in zip(fmul[a], fmul[b])])
-                row = []
-                for ad in fmul[a]:
-                    row += pick(add[q * ad])
-                rows.append(tuple(row))
-        return rows
+        fmul, (b, a) = fld.mul_table, divmod(x, q)
+        pick = gather([lo + q * hi for lo, hi in zip(fmul[a], fmul[b])])
+        row = []
+        for ad in fmul[a]:
+            row += pick(add[q * ad])
+        return tuple(row)
 
     # a + bu is a unit iff a != 0, and the only other nonzero principal left
     # ideal is Ru = {bu}, generated by its nonzero members
     size = q * q
     units = tuple(x for x in range(size) if x % q)
     ideals = {frozenset(range(size)): units, frozenset(range(0, size, q)): tuple(range(q, size, q))}
-    return names, add, mul, fld.add_exponent, char, units, ideals
+    return names, add, _by_rows(mul_row, size), fld.add_exponent, char, units, ideals
 
 
 def _build(spec: RingSpec) -> Ring:
@@ -813,7 +844,6 @@ def _ring(spec: RingSpec, parts) -> Ring:
         spec=spec,
         name=canonical_ring_name(spec),
         size=len(names),
-        add_table=tuple(add),
         units=frozenset(units),
         principal_left_ideals=ideals,
         add_exponent=n_exp,
@@ -821,7 +851,7 @@ def _ring(spec: RingSpec, parts) -> Ring:
         element_names=tuple(names),
         _name_index=dict(zip(names, range(len(names)))),
     )
-    ring._facts[_MUL] = mul
+    ring._facts.update({_ADD: add, _MUL: mul})
     return ring
 
 
@@ -854,7 +884,7 @@ def principal_ideal(ring: Ring, x: int, side: str = "left") -> Ideal:
     if side == "left":
         members = frozenset([row[x] for row in ring.mul_table])
     elif side == "right":
-        members = frozenset(ring.mul_table[x])
+        members = frozenset(ring._row(_MUL, x))
     else:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     return Ideal(side=side, generator=x, members=members)
@@ -870,8 +900,10 @@ def is_generating_character(ring: Ring, exps: Sequence[int]) -> bool:
     and every generator g, then x = 0 gives chi(0) = 0, and induction on
     the number of generators summing to y gives chi(x + y) = chi(x) +
     chi(y) for every y.  Each generator at least doubles the span, so the
-    check is O(|R| log |R|).  Raises ``CharacterError`` if the map is not
-    additive.
+    check is O(|R| log |R|).  It reads one row of the addition table per
+    generator g, as row g is column g, (R, +) being abelian: x + g and
+    h + g are entries of row g.  Raises ``CharacterError`` if the map is
+    not additive.
 
     Generating means that the kernel contains no nonzero left ideal, so
     that every nonzero principal left ideal Rx leaves the kernel.  The
@@ -882,14 +914,14 @@ def is_generating_character(ring: Ring, exps: Sequence[int]) -> bool:
     coding theory", Amer. J. Math. 121, 1999), so the right ideals xR need
     no test of their own.
     """
-    n, add = ring.add_exponent, ring.add_table
-    span = {0}
+    n, span = ring.add_exponent, {0}
     for g in range(ring.size):
         if g not in span:
-            if any((exps[row[g]] - exps[x] - exps[g]) % n for x, row in enumerate(add)):
+            row = ring._row(_ADD, g)
+            if any((exps[y] - exps[x] - exps[g]) % n for x, y in enumerate(row)):
                 raise CharacterError("character exponent map is not additive")
             coset = span
-            while (coset := {add[h][g] for h in coset}).isdisjoint(span):
+            while (coset := {row[h] for h in coset}).isdisjoint(span):
                 span |= coset
     return all(any(exps[y] % n for y in members) for members in ring.principal_left_ideals)
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -117,6 +118,15 @@ def test_gray_map_values():
 def test_gray_map_validates_alphabet():
     with pytest.raises(ValueError):
         fc.gray_map((4,))
+
+
+@pytest.mark.parametrize("word, bad", [((1.5,), "1.5"), ((1.0, 2), "1.0"), ((0, None), "None"),
+                                       (("1",), "'1'")])
+def test_gray_map_refuses_non_integer_coordinates_by_name(word, bad):
+    # read through operator.index: a float is refused even when it equals an
+    # element of Z4
+    with pytest.raises(ValueError, match=f"^coordinate {re.escape(bad)} is not a Z4 element$"):
+        fc.gray_map(word)
 
 
 def test_gray_image_requires_z4():

@@ -3,7 +3,7 @@ import time
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import frobcode as fc
 from frobcode import cli
@@ -456,13 +456,17 @@ def test_cap_tables_match_reference_kernels(spec):
     _assert_reference_tables(ring(spec))
 
 
-# the Ring._facts key of the multiplication table, which holds its builder
-# until the first read
-MUL = fc.rings._MUL
+# the Ring._facts keys of the addition and multiplication tables, each
+# whole or lazy: (row function, whole builder, rows made so far)
+ADD, MUL = fc.rings._ADD, fc.rings._MUL
 
 
-def _ring_of_ring_info(spec, monkeypatch, capsys):
-    # the ring that ``frobcode ring info`` builds, caught on its way out
+def _whole_tables(r):
+    return {key for key in (ADD, MUL) if not callable(r._facts[key][0])}
+
+
+def _ring_of_cli(command, spec, monkeypatch, capsys):
+    # the ring that ``frobcode <command>`` builds, caught on its way out
     built = []
 
     def build_ring(*args, **kwargs):
@@ -470,24 +474,64 @@ def _ring_of_ring_info(spec, monkeypatch, capsys):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_ring", build_ring)
-    assert cli.main(["ring", "info", "--ring", spec]) == 0
-    assert f"ring: {built[0].name}" in capsys.readouterr().out
+    assert cli.main([*command, "--ring", spec]) == 0
+    out = capsys.readouterr().out
     (r,) = built
+    # ring info names the ring; weight prints one line per element
+    assert out.startswith(f"ring: {r.name}\n") if command[0] == "ring" else out.count("\n") == r.size
     return r
+
+
+# the tables that GF(p^k) and F_q[u]/(u^2) make whole as they build, since
+# they read them in full
+MADE_WITH_THE_RING = {"GF(512)": {ADD}, "CHAIN(19)": {ADD}}
 
 
 # one ring per path of the builders: Z_m, GF(p) through Z_p, GF(p^k),
 # F_q[u]/(u^2), a product, and a product with a matrix factor
 @pytest.mark.parametrize("spec", ["Z400", "GF(7)", "GF(512)", "CHAIN(19)", "Z8xZ64", "M2(Z2)xZ2"])
 def test_multiplication_table_is_built_on_first_read(spec, monkeypatch, capsys):
-    built = [fc.build_ring(fc.parse_ring_spec(spec)), _ring_of_ring_info(spec, monkeypatch, capsys)]
-    assert all(callable(r._facts[MUL]) for r in built)
-    expected = reference_tables(built[0].spec)["mul_table"]
+    # ring info reads addition rows, and weight multiplication rows too, but
+    # neither makes a whole table
+    made = MADE_WITH_THE_RING.get(spec, set())
+    built = [fc.build_ring(fc.parse_ring_spec(spec)),
+             _ring_of_cli(["ring", "info"], spec, monkeypatch, capsys),
+             _ring_of_cli(["weight"], spec, monkeypatch, capsys)]
+    for r in built:  # the radical and the orbits are read off rows too
+        r.radical, r.unit_orbits
+    assert [_whole_tables(r) for r in built] == [made] * 3
+    expected = reference_tables(built[0].spec)
     for r in built:
-        table = r.mul_table
-        assert table == expected
-        assert r.mul_table is table
+        for key in ("add_table", "mul_table"):
+            table = getattr(r, key)
+            assert table == expected[key]
+            assert getattr(r, key) is table
+        assert _whole_tables(r) == {ADD, MUL}
         assert not any(map(callable, r._facts.values()))
+
+
+def _assert_rows_match_reference(spec, order=None):
+    # a fresh ring: the cached ones may have made their tables whole
+    r = fc.build_ring(fc.parse_ring_spec(spec))
+    order = range(r.size - 1, -1, -1) if order is None else order
+    made, expected = _whole_tables(r), reference_tables(r.spec)
+    for key, name in ((ADD, "add_table"), (MUL, "mul_table")):
+        rows = {x: r._row(key, x) for x in order}
+        assert all(type(row) is tuple for row in rows.values())
+        assert [rows[x] for x in range(r.size)] == list(expected[name])
+    assert _whole_tables(r) == made
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_specs(), st.data())
+def test_rows_match_reference_kernels(drawn, data):
+    order = data.draw(st.permutations(range(drawn[1])))
+    _assert_rows_match_reference(drawn[0], order)
+
+
+@pytest.mark.parametrize("spec", CAP_SPECS)
+def test_cap_rows_match_reference_kernels(spec):
+    _assert_rows_match_reference(spec)
 
 
 def test_matrix_ring_multiplication_table_is_built_with_the_ring():
