@@ -383,16 +383,17 @@ def build_code(ring: Ring, rows: Sequence[Sequence[int]],
 def _check_rows(ring: Ring, rows: Iterable[Sequence[int]], n: int) -> None:
     """Refuse rows (tuples or packed words) other than n elements of the
     ring.  Entries are read through ``operator.index``, as membership reads
-    them, so a float, even one equal to an int, is refused by name."""
+    them, so a float, even one equal to an int, is refused by name.  A bad
+    entry is named by its repr, so ``None`` is named too."""
     for r in rows:
         if len(r) != n:
             raise ValueError("generator rows have unequal lengths")
         try:
-            bad = next(filterfalse(range(ring.size).__contains__, map(index, r)), None)
+            bad = next(map(repr, filterfalse(range(ring.size).__contains__, map(index, r))), None)
         except TypeError:
-            bad = next(x for x in r if not hasattr(x, "__index__"))
+            bad = next(repr(x) for x in r if not hasattr(x, "__index__"))
         if bad is not None:
-            raise ValueError(f"entry {bad!r} outside the ring of size {ring.size}")
+            raise ValueError(f"entry {bad} outside the ring of size {ring.size}")
 
 
 def _extend_level(ring: Ring, level: Collection, row) -> dict:

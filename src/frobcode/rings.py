@@ -10,21 +10,21 @@ table lookup, so all downstream arithmetic is exact and ring-agnostic.
 Each constructor builds its tables from its structure rather than by
 generic arithmetic per pair of elements: Z_m rows are slices of a
 repeated range, componentwise operations are Kronecker combinations of
-smaller tables, GF(p^k) multiplies through discrete-log tables of a
-primitive element, and M_n(S) through the outer products of columns with
-rows.  Every row is made by C-level slices, gathers (``gather``) and
-list concatenation, with no Python arithmetic per entry, so the int
-objects of a table are shared from one range rather than allocated once
-per entry.  The identity of a product or matrix ring is moved onto index
-1 while its rows are made.  A table is made row by row as its rows are
-read, and whole on the first read of the whole table, unless the
-constructor needs it whole to build itself: the character check reads
-one addition row per generator of (R, +), and the weight one
-multiplication row per right unit orbit.  The units and
-the principal left ideals come from the same structure: Z_m by gcd, a
-field trivially, F_q[u]/(u^2) by whether the constant term is 0, and a
-product as the pairs of its factors' units and ideals, (R x S)(x, y) =
-Rx x Sy.  Only M_n(S) makes its multiplication table as it builds and
+smaller tables, GF(p^k) multiplies through F_p-linear maps of
+F_p[t]/(f), each gathered from its images of the basis t^i, and M_n(S)
+through the outer products of columns with rows.  Every row is made by
+C-level slices, gathers (``gather``) and list concatenation, with no
+Python arithmetic per entry, so the int objects of a table are shared
+from one range rather than allocated once per entry.  The identity of
+a product or matrix ring is moved onto index 1 while its rows are made.
+A table is made row by row as its rows are read, and whole on the first
+read of the whole table, unless the constructor needs it whole to build
+itself: the character check reads one addition row per generator of
+(R, +), and the weight one multiplication row per right unit orbit.  The
+units and the principal left ideals come from the same structure: Z_m by
+gcd, a field trivially, F_q[u]/(u^2) by whether the constant term is 0,
+and a product as the pairs of its factors' units and ideals,
+(R x S)(x, y) = Rx x Sy.  Only M_n(S) makes its multiplication table as it builds and
 hands it over made; it reads its units off the rows and walks its ideals
 down the columns, one per left unit orbit.  Every ring so has its units
 and ideals when it is built.  Negation is not tabulated: the radical's
@@ -515,15 +515,18 @@ class Ideal:
 # Every row is a tuple, made by slices, ``gather`` and list concatenation
 # only.  Z_m, GF(p^k) and F_q[u]/(u^2) make the whole table as the map of the
 # row function; a product makes a row out of one row of each factor, and the
-# whole table by one batched ``_kron``.  A kernel that reads its own table in
-# full makes it at once: the addition table of GF(p^k), which its trace
-# reads, and of F_q[u]/(u^2), which its multiplication rows read, and both
-# tables of M_n(S), which reads its units off the rows and walks its ideals
-# down the columns.  A product or matrix ring, whose identity has another raw
-# index ``one``, swaps the labels 1 and ``one`` in the ranges it gathers from,
-# in its columns and in its rows as it builds.  ``units`` and ``ideals``
-# (``Ring.principal_left_ideals``) come from the constructor's structure; a
-# product reads its pairs through the same swap.
+# whole table by one batched ``_kron``.  GF(p^k) makes every map it needs,
+# x -> x * t, the rows x -> a * x and the Frobenius x -> x^p, by ``_times``
+# from the map's images of the basis t^i, as each is F_p-linear.  A kernel
+# that reads its own table in full makes it at once: the addition table of
+# GF(p^k), which ``_times`` and its trace read, and of F_q[u]/(u^2), which
+# its multiplication rows read, and both tables of M_n(S), which reads its
+# units off the rows and walks its ideals down the columns.  A product or
+# matrix ring, whose identity has another raw index ``one``, swaps the labels
+# 1 and ``one`` in the ranges it gathers from, in its columns and in its rows
+# as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
+# come from the constructor's structure; a product reads its pairs through
+# the same swap.
 
 
 def gather(indices: Sequence[int]):
@@ -621,9 +624,9 @@ def _build_zm(m: int):
 
 
 def _times(images: Sequence[int], add, p: int) -> tuple[int, ...]:
-    """The map v -> v * g on GF(p^k), for images[i] = g * t^i.
+    """The F_p-linear map of GF(p^k) that takes t^i to images[i].
 
-    It is additive, so on v = u + d * p^i, u < p^i, it is u * g + d * images[i]:
+    On v = u + d * p^i, u < p^i, it is the image of u plus d * images[i]:
     the map so far gathered out of the add row of each multiple d * images[i].
     """
     times = (0,)
@@ -635,29 +638,6 @@ def _times(images: Sequence[int], add, p: int) -> tuple[int, ...]:
     return times
 
 
-def _primitive_powers(p: int, k: int, modulus: Sequence[int], add) -> tuple[int, ...]:
-    """(g^0, g^1, ..., g^(p^k - 2)) for the first primitive element g of GF(p^k).
-
-    Each candidate g multiplies through the map v -> v * g of ``_times``,
-    whose images g * t^i come from the map v -> v * t, with t^k the negated
-    low coefficients of the monic ``modulus``.
-    """
-    t_power_k = _undigits([-c % p for c in modulus[:k]], p)
-    times_t = _times([p ** i for i in range(1, k)] + [t_power_k], add, p)
-    for g in range(1, p ** k):
-        images = [g]
-        for _ in range(k - 1):
-            images.append(times_t[images[-1]])
-        times_g = _times(images, add, p)
-        powers, cur = [1], g
-        while cur != 1:  # the powers of g return to 1 within p^k - 1 steps
-            powers.append(cur)
-            cur = times_g[cur]
-        if len(powers) == p ** k - 1:
-            return tuple(powers)
-    raise RingSpecError(f"GF({p}^{k}) has no primitive element")  # unreachable
-
-
 def _build_gf(p: int, k: int):
     prime = _build_zm(p)
     if k == 1:
@@ -667,19 +647,23 @@ def _build_gf(p: int, k: int):
     # coefficient vectors add digit by digit: the k-fold combination of Z_p
     add = reduce(_kron, [_made(prime[1])] * k)
 
-    # row a of mul is exp[log a + log b] over b != 0: a gather of the exp
-    # table from offset log a
-    exp = _primitive_powers(p, k, _smallest_irreducible(p, k), add)
-    log = [0] * size
-    for i, x in enumerate(exp):
-        log[x] = i
-    logs = log[1:]
-    pick, exp, zero = gather(logs), exp * 2, (0,) * size
-    mul = _by_rows(lambda a: (0,) + pick(exp[log[a]:log[a] + size - 1]) if a else zero, size)
+    # x -> x * t takes t^i to t^(i+1), and t^k to the negated low
+    # coefficients of the monic modulus
+    t_power_k = _undigits([-c % p for c in _smallest_irreducible(p, k)[:k]], p)
+    times_t = _times([p ** i for i in range(1, k)] + [t_power_k], add, p)
+
+    def by_t(x: int, steps: int) -> list[int]:  # x, x * t, ..., x * t^steps
+        walk = [x]
+        for _ in range(steps):
+            walk.append(times_t[walk[-1]])
+        return walk
+
+    # x -> a * x takes t^i to a * t^i
+    mul = _by_rows(lambda a: _times(by_t(a, k - 1), add, p), size)
 
     # char_exp(x) = trace to the prime field: x + x^p + ... + x^(p^(k-1)),
-    # through the Frobenius map x -> x^p
-    frobenius = (0,) + gather([p * la % (size - 1) for la in logs])(exp)
+    # through the Frobenius map x -> x^p, which takes t^i to (t^p)^i
+    frobenius = _times(by_t(1, p * (k - 1))[::p], add, p)
     total = power = tuple(range(size))
     for _ in range(k - 1):
         power = gather(power)(frobenius)
@@ -732,13 +716,10 @@ def _build_mat(n: int, inner: Ring):
         mul.append(tuple(_swap(row, one)))
     mul = tuple(_swap(mul, one))
 
-    char = []
-    inner_add, diagonal = inner.add_table, gather([r * n + r for r in range(n)])
-    for a in entries:
-        tr = 0
-        for x in diagonal(a):
-            tr = inner_add[tr][x]
-        char.append(inner.char_exp[tr])
+    # chi(A) = chi_S(trace A), the sum of chi_S over the diagonal, as chi_S
+    # is additive
+    inner_char, diagonal = inner.char_exp.__getitem__, gather([r * n + r for r in range(n)])
+    char = [sum(map(inner_char, diagonal(a))) % inner.add_exponent for a in entries]
     # the generic facts: x is a unit iff 1 is in its row, as one-sided
     # inverses are two-sided in a finite ring.  Rx is column x, and R(ux) =
     # Rx, so one column per left unit orbit {ux}, in index order, keys every

@@ -790,6 +790,20 @@ def test_entries_that_are_not_ints_are_refused_by_name(spec):
     assert (1.0, 2, 3) not in code and (1, 2, 3) in code
 
 
+@pytest.mark.parametrize("call", [
+    lambda code: fc.shorten(code, (None, 0, 0)),
+    lambda code: fc.residual(code, (None, 0, 0)),
+    lambda code: fc.coset_average(code, (None, 0, 0)),
+    lambda code: fc.build_code(code.ring, [(1, None)], code.table),
+    lambda code: fc.code_from_words(code.ring, 2, [(0, None)], code.table),
+], ids=["shorten", "residual", "coset_average", "build_code", "code_from_words"])
+def test_a_none_entry_is_refused_by_name(call):
+    # None was once taken for "no bad entry": shorten and residual returned
+    # codes, and the others raised a bare TypeError
+    with pytest.raises(ValueError, match="entry None outside the ring of size 4"):
+        call(z4_code([(1, 2, 3)]))
+
+
 def test_residual_octacode():
     code = fc.octacode()
     res = fc.residual(code, (0, 0, 0, 2, 0, 2, 2, 2))

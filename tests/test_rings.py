@@ -510,9 +510,9 @@ def test_multiplication_table_is_built_on_first_read(spec, monkeypatch, capsys):
         assert not any(map(callable, r._facts.values()))
 
 
-def _assert_rows_match_reference(spec, order=None):
+def _assert_rows_match_reference(spec, order=None, cap=fc.rings.DEFAULT_CAP):
     # a fresh ring: the cached ones may have made their tables whole
-    r = fc.build_ring(fc.parse_ring_spec(spec))
+    r = fc.build_ring(fc.parse_ring_spec(spec, cap), cap)
     order = range(r.size - 1, -1, -1) if order is None else order
     made, expected = _whole_tables(r), reference_tables(r.spec)
     for key, name in ((ADD, "add_table"), (MUL, "mul_table")):
@@ -532,6 +532,21 @@ def test_rows_match_reference_kernels(drawn, data):
 @pytest.mark.parametrize("spec", CAP_SPECS)
 def test_cap_rows_match_reference_kernels(spec):
     _assert_rows_match_reference(spec)
+
+
+@pytest.mark.parametrize("spec", ["GF(625)", "GF(729)"])
+def test_odd_fields_above_the_default_cap_match_reference_kernels(spec):
+    # GF(5^4) and GF(3^6): rows read before the whole tables, then the whole
+    # tables and the trace; the reference multiplies through discrete logs
+    _assert_rows_match_reference(spec, cap=1024)
+    _assert_reference_tables(fc.build_ring(fc.parse_ring_spec(spec, 1024), 1024))
+
+
+def test_a_reducible_modulus_fails_the_trace_check(monkeypatch):
+    # over t^2, t * t = 0, so the trace of t is t + t^2 = t, outside F_2
+    monkeypatch.setattr(fc.rings, "_smallest_irreducible", lambda p, k: (0, 0, 1))
+    with pytest.raises(fc.CharacterError, match=r"the trace of GF\(2\^2\) left the prime field"):
+        fc.build_ring(fc.parse_ring_spec("GF(4)"))
 
 
 def test_matrix_ring_multiplication_table_is_built_with_the_ring():
