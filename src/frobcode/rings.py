@@ -23,13 +23,12 @@ itself: the character check reads one addition row per generator of
 (R, +), and the weight one multiplication row per right unit orbit.  The
 units and the principal left ideals come from the same structure: Z_m by
 gcd, a field trivially, F_q[u]/(u^2) by whether the constant term is 0,
-and a product as the pairs of its factors' units and ideals,
-(R x S)(x, y) = Rx x Sy.  Only M_n(S) makes its multiplication table as it builds and
-hands it over made; it reads its units off the rows and walks its ideals
-down the columns, one per left unit orbit.  Every ring so has its units
-and ideals when it is built.  Negation is not tabulated: the radical's
-quasi-regularity test, stated with 1 - y, reads 1 + y instead, since
-each left ideal is closed under negation.
+a product as the pairs of its factors' units and ideals, (R x S)(x, y) =
+Rx x Sy, and M_n(S) by row modules: M_n(S)A is the matrices whose rows
+lie in the left S-module that the rows of A span.  Every ring so has its
+units and ideals when it is built.  Negation is not tabulated: the
+radical's quasi-regularity test, stated with 1 - y, reads 1 + y instead,
+since each left ideal is closed under negation.
 
 Each ring carries a distinguished additive character, encoded as an
 exponent map into Z_N for N the exponent of the additive group.  The
@@ -43,8 +42,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, reduce
-from itertools import chain
+from functools import cache, lru_cache, partial, reduce
+from itertools import chain, product
 from math import gcd, isqrt, lcm
 from operator import getitem, itemgetter
 from typing import Sequence, Union
@@ -445,10 +444,7 @@ class Ring:
         """Row x of the table ``key``: read off the whole table if that is
         made, else made alone by the constructor's row function and kept."""
         table = self._facts[key]
-        if not callable(table[0]):
-            return table[x]
-        row, _, rows = table
-        return rows[x] if x in rows else rows.setdefault(x, row(x))
+        return table[2][x] if callable(table[0]) else table[x]
 
     @property
     def radical(self) -> frozenset[int]:
@@ -520,13 +516,15 @@ class Ideal:
 # from the map's images of the basis t^i, as each is F_p-linear.  A kernel
 # that reads its own table in full makes it at once: the addition table of
 # GF(p^k), which ``_times`` and its trace read, and of F_q[u]/(u^2), which
-# its multiplication rows read, and both tables of M_n(S), which reads its
-# units off the rows and walks its ideals down the columns.  A product or
-# matrix ring, whose identity has another raw index ``one``, swaps the labels
-# 1 and ``one`` in the ranges it gathers from, in its columns and in its rows
-# as it builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``)
-# come from the constructor's structure; a product reads its pairs through
-# the same swap.
+# its multiplication rows read.  M_n(S) makes an addition row as a product
+# does, out of the rows of its row vectors, and a multiplication row out of
+# addition rows, which it reads through the rows made so far (``_Rows``) or,
+# for the whole table, out of the whole addition table.  A product or matrix
+# ring, whose identity has another raw index ``one``, swaps the labels 1 and
+# ``one`` in the ranges it gathers from, in its columns and in its rows as it
+# builds.  ``units`` and ``ideals`` (``Ring.principal_left_ideals``) come
+# from the constructor's structure, M_n(S)'s from the row modules of its
+# matrices; a product reads its pairs through the same swap.
 
 
 def gather(indices: Sequence[int]):
@@ -553,7 +551,18 @@ def _swap(seq: list, one: int) -> list:
 def _by_rows(row, size: int, whole=None) -> tuple:
     """A lazy table: the row function, the builder of the whole table (by
     default the map of the row function) and the rows made so far."""
-    return row, whole or (lambda: map(row, range(size))), {}
+    return row, whole or (lambda: map(row, range(size))), _Rows(row)
+
+
+class _Rows(dict):
+    """The rows of a lazy table made so far: a row is made by ``row`` on its
+    first read, and kept."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        return self.setdefault(x, self.row(x))
 
 
 def _made(table) -> tuple[tuple[int, ...], ...]:
@@ -681,18 +690,30 @@ def _build_mat(n: int, inner: Ring):
     m = s ** n
     size = m ** n
     one = sum(s ** (r * n + r) for r in range(n))
+    labels = _labels(size, one)
     entries = [_digits(v, s, n * n) for v in range(size)]
     names = ["[" + ";".join(inner.element_names[e] for e in ent) + "]" for ent in entries]
 
-    vadd = reduce(_kron, [inner.add_table] * n)  # row vectors
-    add = _kron(reduce(_kron, [vadd] * (n - 1)), vadd, one) if n > 1 else vadd
+    # row vectors add entry by entry, and matrices row by row: the matrix
+    # a * m + b, for b its row 0 and a its rows 1..n-1, has as its addition
+    # row that of (a, b) in the componentwise table of upper, the table of
+    # rows 1..n-1, with vadd
+    vadd = reduce(_kron, [inner.add_table] * n)
+    upper = reduce(_kron, [vadd] * (n - 1), ((0,),))
+
+    def add_row(x):
+        a, b = divmod(labels[x], m)
+        return _kron_rows([upper[a]], [vadd[b]], labels)[0]
+
+    whole_add = cache(lambda: _kron(upper, vadd, one))  # read by the whole mul too
+    add = _by_rows(add_row, size, whole_add)
 
     # scaled[x][w] = x * w for x in S and a row vector w
     scaled = [reduce(_kron_vec, [row] * n) for row in inner.mul_table]
     # outer[c][w] is the label of the matrix c w for a column c and a row w,
     # whose row r is c_r * w: read through nested slices of the labels, one
     # level per row, row n - 1 outermost
-    nested = _labels(size, one)
+    nested = labels
     for _ in range(n - 1):
         nested = [nested[j:j + m] for j in range(0, len(nested), m)]
     outer = []
@@ -702,37 +723,58 @@ def _build_mat(n: int, inner: Ring):
         for r in range(n - 2, -1, -1):
             acc = tuple(map(getitem, acc, scaled[coeffs[r]]))
         outer.append(acc)
-    # A * B is the sum over t of (column t of A)(row t of B), and row t of B
-    # is its base m digit t: row A of mul concatenates, for each sum x over
-    # the rows above t, the products with row t gathered out of add[x]
-    mul = []
-    for ent in entries:
+
+    def mul_row(x, add_rows=add[2]):
+        # A * B is the sum over t of (column t of A)(row t of B), and row t
+        # of B is its base m digit t: row A concatenates, for each sum y over
+        # the rows above t, the products with row t gathered out of addition
+        # row y, made on first read, or read off the whole addition table
+        # when the whole multiplication table is made
+        ent = entries[labels[x]]
         products = [outer[_undigits(ent[t::n], s)] for t in range(n)]
         row = list(products[n - 1])
         for t in range(n - 2, -1, -1):
             pick, above, row = gather(products[t]), row, []
-            for x in above:
-                row += pick(add[x])
-        mul.append(tuple(_swap(row, one)))
-    mul = tuple(_swap(mul, one))
+            for y in above:
+                row += pick(add_rows[y])
+        return tuple(_swap(row, one))
+
+    mul = _by_rows(mul_row, size, lambda: map(partial(mul_row, add_rows=whole_add()), range(size)))
 
     # chi(A) = chi_S(trace A), the sum of chi_S over the diagonal, as chi_S
     # is additive
     inner_char, diagonal = inner.char_exp.__getitem__, gather([r * n + r for r in range(n)])
     char = [sum(map(inner_char, diagonal(a))) % inner.add_exponent for a in entries]
-    # the generic facts: x is a unit iff 1 is in its row, as one-sided
-    # inverses are two-sided in a finite ring.  Rx is column x, and R(ux) =
-    # Rx, so one column per left unit orbit {ux}, in index order, keys every
-    # ideal; orbits generating one ideal share its entry.
-    units = [u for u, row in enumerate(mul) if 1 in row]
-    ideals: dict[frozenset[int], list[int]] = {}
-    seen: set[int] = set()
-    for x in range(1, size):
-        if x not in seen:
-            orbit = {mul[u][x] for u in units}
-            seen |= orbit
-            ideals.setdefault(frozenset(map(itemgetter(x), mul)), []).extend(orbit)
-    ideals = {key: tuple(sorted(gens)) for key, gens in ideals.items()}
+
+    # RA is the matrices whose rows lie in the left S-module N_A = S a_1 +
+    # ... + S a_n that the rows a_i of A span: row i of BA is the sum over j
+    # of B_ij a_j, and a matrix whose rows lie in N_A is BA for B its
+    # coefficients.  So A generates RB exactly when N_A = N_B, and A is a
+    # unit exactly when N_A = S^n, as one-sided inverses are two-sided in a
+    # finite ring.  N_A is built row by row: N + S w is gathered out of the
+    # vadd rows of the members of N at S w, a column of scaled, and memoised
+    # for each N and every row vector w; equal modules are one object.
+    multiples = [gather(tuple(set(column))) for column in zip(*scaled)]  # S w
+    modules, joins = {}, {}
+
+    def joined(module):
+        if module not in joins:
+            wider = (module if w in module else frozenset(chain.from_iterable(
+                map(multiples[w], map(vadd.__getitem__, module)))) for w in range(m))
+            joins[module] = tuple(modules.setdefault(x, x) for x in wider)
+        return joins[module]
+
+    spans = [frozenset([0])]
+    for _ in range(n):  # on level r, the matrix w m^r + v, v < m^r, spans spans[v] + S w
+        spans = list(chain.from_iterable(zip(*map(joined, spans))))
+    # the generators of each ideal in index order, so keyed in order of the
+    # smallest; its members are N^n, and the units generate R = R1
+    generators: dict[frozenset[int], list[int]] = {}
+    for x, module in enumerate(map(spans.__getitem__, labels[1:]), 1):
+        generators.setdefault(module, []).append(x)
+    ideals = {frozenset(labels[_undigits(rows, m)] for rows in product(module, repeat=n)): tuple(gens)
+              for module, gens in generators.items()}
+    units = generators[spans[one]]
     return _swap(names, one), add, mul, inner.add_exponent, _swap(char, one), units, ideals
 
 

@@ -256,10 +256,11 @@ def _relabel_identity(one, names, add, mul, char):
 
 
 # ---------------------------------------------------------------------------
-# Reference ring facts: the generic scan and walk over the tables, which the
-# package keeps only for M_n(S), and the weight oracle with one Fraction
-# addition per member.  The package takes the other constructors' facts from
-# their structure, and sums each ideal with one product per distinct weight.
+# Reference ring facts: the generic scan and walk over the tables, and the
+# weight oracle with one Fraction addition per member.  The package takes
+# every constructor's facts from its structure, M_n(S)'s from the row
+# modules of its matrices, and sums each ideal with one product per
+# distinct weight.
 # ---------------------------------------------------------------------------
 
 def reference_units(r) -> frozenset:

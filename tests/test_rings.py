@@ -1,6 +1,6 @@
 import hashlib
 import time
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -488,8 +488,10 @@ MADE_WITH_THE_RING = {"GF(512)": {ADD}, "CHAIN(19)": {ADD}}
 
 
 # one ring per path of the builders: Z_m, GF(p) through Z_p, GF(p^k),
-# F_q[u]/(u^2), a product, and a product with a matrix factor
-@pytest.mark.parametrize("spec", ["Z400", "GF(7)", "GF(512)", "CHAIN(19)", "Z8xZ64", "M2(Z2)xZ2"])
+# F_q[u]/(u^2), a product, matrix rings over a field of order 2 and 4, and
+# a product with a matrix factor
+@pytest.mark.parametrize("spec", ["Z400", "GF(7)", "GF(512)", "CHAIN(19)", "Z8xZ64",
+                                  "M3(GF(2))", "M2(GF(4))", "M2(Z2)xZ2"])
 def test_multiplication_table_is_built_on_first_read(spec, monkeypatch, capsys):
     # ring info reads addition rows, and weight multiplication rows too, but
     # neither makes a whole table
@@ -549,15 +551,12 @@ def test_a_reducible_modulus_fails_the_trace_check(monkeypatch):
         fc.build_ring(fc.parse_ring_spec("GF(4)"))
 
 
-def test_matrix_ring_multiplication_table_is_built_with_the_ring():
-    # M_n(S) reads its units off the rows of its table as it builds
-    r = fc.build_ring(fc.parse_ring_spec("M2(GF(2))"))
-    assert r._facts[MUL] == reference_tables(r.spec)["mul_table"]
-    assert r.mul_table is r._facts[MUL]
-
-
-# one spec per constructor, and a product with a matrix factor
-@pytest.mark.parametrize("spec", ["Z12", "GF(7)", "GF(9)", "CHAIN(4)", "Z2xZ4", "M2(GF(2))", "M2(Z2)xZ2"])
+# one spec per constructor, a product with a matrix factor, and matrix rings
+# over a non-commutative ring (M1(M2(GF(2)))), a chain ring, a product, a
+# field of odd order and in three rows
+@pytest.mark.parametrize("spec", ["Z12", "GF(7)", "GF(9)", "CHAIN(4)", "Z2xZ4", "M2(GF(2))", "M2(Z2)xZ2",
+                                  "M1(M2(GF(2)))", "M2(Z4)", "M2(CHAIN(2))", "M2(Z2xZ2)", "M2(GF(3))",
+                                  "M3(GF(2))"])
 def test_every_kernel_hands_over_its_principal_left_ideals(spec, monkeypatch):
     # the ring comes out of the build walk with its ideals: no principal_ideal
     # runs to walk them, then or on the first read
@@ -567,6 +566,60 @@ def test_every_kernel_hands_over_its_principal_left_ideals(spec, monkeypatch):
     monkeypatch.setattr(fc.rings, "principal_ideal", walked)
     r = fc.rings._build(fc.parse_ring_spec(spec))
     assert list(r.principal_left_ideals.items()) == list(reference_principal_left_ideals(r).items())
+
+
+def _local_factors(spec):
+    # a commutative S as a product of local rings S_i: (|S_i|, q_i) for
+    # F_(q_i) the residue field of S_i
+    if isinstance(spec, fc.rings.Zm):
+        m, factors, p = spec.m, [], 2
+        while m > 1:
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                factors.append((p ** e, p))
+            p += 1
+        return factors
+    if isinstance(spec, fc.rings.GF):
+        return [(spec.p ** spec.k, spec.p ** spec.k)]
+    if isinstance(spec, fc.rings.ChainQuad):
+        return [(spec.q ** 2, spec.q)]
+    if isinstance(spec, fc.rings.Prod):
+        return _local_factors(spec.left) + _local_factors(spec.right)
+    assert isinstance(spec, fc.rings.Mat) and spec.n == 1, spec  # M1(S) is S
+    return _local_factors(spec.inner)
+
+
+def gl_order(n, spec):
+    """|GL_n(S)| = prod_i (|S_i|/q_i)^(n^2) prod_(j<n) (q_i^n - q_i^j): a matrix
+    over a local ring is invertible exactly when it is over the residue field."""
+    return prod((size // q) ** (n * n) * prod(q ** n - q ** j for j in range(n))
+                for size, q in _local_factors(spec))
+
+
+# every M_n(S) up to the cap for n >= 2, M_1 over commutative and
+# non-commutative rings, and one above the default cap, with the orders
+# that CI checks too
+GL_SPECS = ([f"M2({s})" for s in ("Z2", "Z3", "Z4", "GF(2)", "GF(3)", "GF(4)", "CHAIN(2)", "Z2xZ2",
+                                  "M1(Z4)")]
+            + ["M3(Z2)", "M3(GF(2))", "M2(M1(GF(2)))"]
+            + [f"M1({s})" for s in ("Z12", "GF(8)", "CHAIN(3)", "Z2xGF(4)", "M2(GF(2))", "M2(Z2)xZ2",
+                                    "M1(Z6)")])
+GL_ORDERS = {"M3(GF(2))": 168, "M2(GF(4))": 180, "M2(Z4)": 96, "M2(CHAIN(2))": 96, "M2(Z2xZ2)": 36,
+             "M2(Z5)": 480}
+
+
+@pytest.mark.parametrize("spec", GL_SPECS + ["M2(Z5)"])
+def test_matrix_ring_units_match_the_order_of_gl(spec):
+    # the units come from the row modules: |GL_n(S)| in closed form for n
+    # >= 2, and for n = 1 the unit count of S's own kernel
+    cap = 1024 if spec == "M2(Z5)" else fc.rings.DEFAULT_CAP
+    r = fc.build_ring(fc.parse_ring_spec(spec, cap), cap)
+    n, inner = r.spec.n, r.spec.inner
+    order = len(fc.build_ring(inner).units) if n == 1 else gl_order(n, inner)
+    assert len(r.units) == order == GL_ORDERS.get(spec, order)
+    assert sorted(r.units) == sorted(reference_units(r))
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + ["Z2xZ4"] + CAP_SPECS)
